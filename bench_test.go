@@ -275,7 +275,7 @@ func BenchmarkFrankWolfeRun(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := htdp.FrankWolfe(ds, htdp.FWOptions{
+		if _, err := htdp.FrankWolfe(htdp.NewMemSource(ds), htdp.FWOptions{
 			Loss: htdp.SquaredLoss{}, Domain: dom, Eps: 1, Rng: randx.New(int64(i)),
 		}); err != nil {
 			b.Fatal(err)
@@ -291,10 +291,11 @@ func BenchmarkSparseMean(b *testing.B) {
 	for i := range x.Data {
 		x.Data[i] = r.Normal()
 	}
+	ds := &htdp.Dataset{X: x, Y: make([]float64, x.Rows)}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := htdp.SparseMean(x, htdp.SparseMeanOptions{
+		if _, err := htdp.SparseMean(htdp.NewMemSource(ds), htdp.SparseMeanOptions{
 			Eps: 1, Delta: 1e-5, SStar: 10, Rng: randx.New(int64(i)),
 		}); err != nil {
 			b.Fatal(err)
@@ -314,7 +315,7 @@ func BenchmarkDPSGDStep(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := htdp.DPSGD(ds, htdp.DPSGDOptions{
+		if _, err := htdp.DPSGD(htdp.NewMemSource(ds), htdp.DPSGDOptions{
 			Loss: htdp.SquaredLoss{}, Eps: 1, Delta: 1e-5,
 			T: 100, Batch: 200, Clip: 2, LR: 0.01, Rng: randx.New(int64(i)),
 		}); err != nil {
@@ -337,7 +338,7 @@ func BenchmarkSparseLinRegRun(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := htdp.SparseLinReg(ds, htdp.SparseLinRegOptions{
+		if _, err := htdp.SparseLinReg(htdp.NewMemSource(ds), htdp.SparseLinRegOptions{
 			Eps: 1, Delta: 1e-5, SStar: 10, Rng: randx.New(int64(i)),
 		}); err != nil {
 			b.Fatal(err)
@@ -359,7 +360,7 @@ func benchSourceFW(b *testing.B, src htdp.Source) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := htdp.FrankWolfeSource(src, htdp.FWOptions{
+		if _, err := htdp.FrankWolfe(src, htdp.FWOptions{
 			Loss: htdp.SquaredLoss{}, Domain: htdp.NewL1Ball(benchStreamOpt.D, 1),
 			Eps: 1, Rng: randx.New(int64(i)),
 		}); err != nil {

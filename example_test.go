@@ -18,7 +18,7 @@ func ExampleFrankWolfe() {
 		Noise:   htdp.Normal{Mu: 0, Sigma: math.Sqrt(0.1)},
 	})
 	dom := htdp.NewL1Ball(50, 1)
-	w, err := htdp.FrankWolfe(ds, htdp.FWOptions{
+	w, err := htdp.FrankWolfe(htdp.NewMemSource(ds), htdp.FWOptions{
 		Loss: htdp.SquaredLoss{}, Domain: dom, Eps: 1, Rng: rng.Split(),
 	})
 	if err != nil {

@@ -23,8 +23,12 @@ func main() {
 		Feature: htdp.LogNormal{Mu: 0, Sigma: math.Sqrt(0.6)},
 		Noise:   htdp.Normal{Mu: 0, Sigma: math.Sqrt(0.1)},
 	})
+	src := htdp.NewMemSource(ds)
 	dom := htdp.NewL1Ball(d, 1)
-	ref := htdp.NonprivateFW(ds, htdp.SquaredLoss{}, dom, 200, nil)
+	ref, err := htdp.NonprivateFW(src, htdp.SquaredLoss{}, dom, 200, nil)
+	if err != nil {
+		panic(err)
+	}
 
 	trace := func(label string, at map[int]float64, T int) func(int, []float64) {
 		marks := map[int]bool{1: true, T / 4: true, T / 2: true, T: true}
@@ -38,7 +42,7 @@ func main() {
 	eps := 1.0
 	splitAt := map[int]float64{}
 	splitT := int(math.Cbrt(float64(n) * eps))
-	if _, err := htdp.FrankWolfe(ds, htdp.FWOptions{
+	if _, err := htdp.FrankWolfe(src, htdp.FWOptions{
 		Loss: htdp.SquaredLoss{}, Domain: dom, Eps: eps,
 		Rng: rng.Split(), Trace: trace("split", splitAt, splitT),
 	}); err != nil {
@@ -47,7 +51,7 @@ func main() {
 
 	fullAt := map[int]float64{}
 	fullT := int(math.Ceil(math.Pow(float64(n)*eps, 0.4)))
-	if _, err := htdp.FullDataFW(ds, htdp.FullDataFWOptions{
+	if _, err := htdp.FullDataFW(src, htdp.FullDataFWOptions{
 		Loss: htdp.SquaredLoss{}, Domain: dom, Eps: eps, Delta: math.Pow(float64(n), -1.1),
 		Rng: rng.Split(), Trace: trace("full", fullAt, fullT),
 	}); err != nil {

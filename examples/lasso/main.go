@@ -26,18 +26,22 @@ func main() {
 		Feature: htdp.LogNormal{Mu: 0, Sigma: math.Sqrt(0.6)},
 		Noise:   htdp.Normal{Mu: 0, Sigma: math.Sqrt(0.1)},
 	})
+	src := htdp.NewMemSource(ds)
 	dom := htdp.NewL1Ball(d, 1)
-	ref := htdp.NonprivateFW(ds, htdp.SquaredLoss{}, dom, 200, nil)
+	ref, err := htdp.NonprivateFW(src, htdp.SquaredLoss{}, dom, 200, nil)
+	if err != nil {
+		panic(err)
+	}
 
 	fmt.Println("eps    alg2(lasso)   alg1(robust-fw)")
 	for _, eps := range []float64{0.5, 1, 2, 4} {
-		w2, err := htdp.Lasso(ds, htdp.LassoOptions{
+		w2, err := htdp.Lasso(src, htdp.LassoOptions{
 			Eps: eps, Delta: delta, Rng: rng.Split(),
 		})
 		if err != nil {
 			panic(err)
 		}
-		w1, err := htdp.FrankWolfe(ds, htdp.FWOptions{
+		w1, err := htdp.FrankWolfe(src, htdp.FWOptions{
 			Loss: htdp.SquaredLoss{}, Domain: dom, Eps: eps, Rng: rng.Split(),
 		})
 		if err != nil {

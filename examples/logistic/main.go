@@ -34,7 +34,7 @@ func main() {
 		// Logistic gradients are bounded by |xⱼ|, so the worst-case
 		// Lemma-4 truncation scale is far too conservative here; a small
 		// manual K keeps the Peeling noise (∝ K) low with negligible bias.
-		w, err := htdp.SparseOpt(ds, htdp.SparseOptOptions{
+		w, err := htdp.SparseOpt(htdp.NewMemSource(ds), htdp.SparseOptOptions{
 			Loss: l, Eps: eps, Delta: delta, SStar: sStar, K: 4, Eta: 0.8,
 			Rng: rng.Split(),
 		})

@@ -42,7 +42,7 @@ func main() {
 		const reps = 5
 		var errSq float64
 		for k := 0; k < reps; k++ {
-			w, err := htdp.SparseOpt(ds, htdp.SparseOptOptions{
+			w, err := htdp.SparseOpt(htdp.NewMemSource(ds), htdp.SparseOptOptions{
 				Loss: htdp.MeanSquaredLoss{}, Eps: eps, Delta: delta,
 				SStar: sStar, Eta: 0.45, Rng: rng.Split(),
 			})

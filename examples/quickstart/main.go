@@ -29,13 +29,17 @@ func main() {
 	dom := htdp.NewL1Ball(d, 1)
 
 	// Non-private reference via exact Frank–Wolfe.
-	ref := htdp.NonprivateFW(ds, htdp.SquaredLoss{}, dom, 200, nil)
+	src := htdp.NewMemSource(ds)
+	ref, err := htdp.NonprivateFW(src, htdp.SquaredLoss{}, dom, 200, nil)
+	if err != nil {
+		panic(err)
+	}
 	refRisk := htdp.EmpiricalRisk(htdp.SquaredLoss{}, ref, ds)
 	fmt.Printf("non-private risk: %.5f\n", refRisk)
 
 	// Private runs across budgets: error falls as ε grows.
 	for _, eps := range []float64{0.5, 1, 2, 4} {
-		w, err := htdp.FrankWolfe(ds, htdp.FWOptions{
+		w, err := htdp.FrankWolfe(src, htdp.FWOptions{
 			Loss:   htdp.SquaredLoss{},
 			Domain: dom,
 			Eps:    eps,

@@ -33,11 +33,15 @@ func main() {
 
 	// The gradient step contracts at rate |1 − η₀·λ(E[xxᵀ])|; with
 	// feature variance 5 the step size must stay below 2/5.
-	iht := htdp.NonprivateIHT(ds, 2*sStar, 30, 0.15)
+	src := htdp.NewMemSource(ds)
+	iht, err := htdp.NonprivateIHT(src, 2*sStar, 30, 0.15)
+	if err != nil {
+		panic(err)
+	}
 	fmt.Printf("non-private IHT:  ‖ŵ−w*‖₂ = %.4f\n", htdp.Dist2(iht, wStar))
 
 	for _, eps := range []float64{1, 2, 4} {
-		w, err := htdp.SparseLinReg(ds, htdp.SparseLinRegOptions{
+		w, err := htdp.SparseLinReg(src, htdp.SparseLinRegOptions{
 			Eps: eps, Delta: delta, SStar: sStar,
 			T: 4, K: 2.5, Eta0: 0.15,
 			Rng: rng.Split(),

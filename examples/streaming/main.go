@@ -51,7 +51,7 @@ func main() {
 
 	// The same ε-DP run from all three backends.
 	run := func(src htdp.Source) []float64 {
-		w, err := htdp.FrankWolfeSource(src, htdp.FWOptions{
+		w, err := htdp.FrankWolfe(src, htdp.FWOptions{
 			Loss:   htdp.SquaredLoss{},
 			Domain: htdp.NewL1Ball(d, 1),
 			Eps:    4,

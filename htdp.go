@@ -42,7 +42,7 @@
 //		Feature: htdp.LogNormal{Mu: 0, Sigma: 0.77},
 //		Noise:   htdp.Normal{Mu: 0, Sigma: 0.32},
 //	})
-//	w, err := htdp.FrankWolfe(ds, htdp.FWOptions{
+//	w, err := htdp.FrankWolfe(htdp.NewMemSource(ds), htdp.FWOptions{
 //		Loss:   htdp.SquaredLoss{},
 //		Domain: htdp.NewL1Ball(400, 1),
 //		Eps:    1,
@@ -246,52 +246,27 @@ type (
 )
 
 // FrankWolfe runs Heavy-tailed DP-FW (Algorithm 1); the run is ε-DP.
-func FrankWolfe(ds *Dataset, opt FWOptions) ([]float64, error) {
-	return core.FrankWolfe(ds, opt)
+// Iteration t loads only chunk t−1 of T, so n may exceed local memory.
+func FrankWolfe(src Source, opt FWOptions) ([]float64, error) {
+	return core.FrankWolfe(src, opt)
 }
 
-// FrankWolfeSource runs Algorithm 1 over a streaming source; iteration
-// t loads only chunk t−1 of T, so n may exceed local memory. Output is
-// bit-identical to FrankWolfe on the same rows.
-func FrankWolfeSource(src Source, opt FWOptions) ([]float64, error) {
-	return core.FrankWolfeSource(src, opt)
-}
-
-// Lasso runs Heavy-tailed Private LASSO (Algorithm 2); (ε, δ)-DP.
-func Lasso(ds *Dataset, opt LassoOptions) ([]float64, error) {
-	return core.Lasso(ds, opt)
-}
-
-// LassoSource runs Algorithm 2 over a streaming source: every
-// iteration streams the shrunken data one chunk at a time. Output is
-// bit-identical to Lasso on the same rows.
-func LassoSource(src Source, opt LassoOptions) ([]float64, error) {
-	return core.LassoSource(src, opt)
+// Lasso runs Heavy-tailed Private LASSO (Algorithm 2); (ε, δ)-DP. Every
+// iteration streams the shrunken data one chunk at a time.
+func Lasso(src Source, opt LassoOptions) ([]float64, error) {
+	return core.Lasso(src, opt)
 }
 
 // SparseLinReg runs Heavy-tailed Private Sparse Linear Regression
-// (Algorithm 3); (ε, δ)-DP.
-func SparseLinReg(ds *Dataset, opt SparseLinRegOptions) ([]float64, error) {
-	return core.SparseLinReg(ds, opt)
-}
-
-// SparseLinRegSource runs Algorithm 3 over a streaming source; chunks
-// are shrunken on load. Output is bit-identical to SparseLinReg on the
-// same rows.
-func SparseLinRegSource(src Source, opt SparseLinRegOptions) ([]float64, error) {
-	return core.SparseLinRegSource(src, opt)
+// (Algorithm 3); (ε, δ)-DP. Chunks are shrunken on load.
+func SparseLinReg(src Source, opt SparseLinRegOptions) ([]float64, error) {
+	return core.SparseLinReg(src, opt)
 }
 
 // SparseOpt runs Heavy-tailed Private Sparse Optimization
 // (Algorithm 5); (ε, δ)-DP.
-func SparseOpt(ds *Dataset, opt SparseOptOptions) ([]float64, error) {
-	return core.SparseOpt(ds, opt)
-}
-
-// SparseOptSource runs Algorithm 5 over a streaming source. Output is
-// bit-identical to SparseOpt on the same rows.
-func SparseOptSource(src Source, opt SparseOptOptions) ([]float64, error) {
-	return core.SparseOptSource(src, opt)
+func SparseOpt(src Source, opt SparseOptOptions) ([]float64, error) {
+	return core.SparseOpt(src, opt)
 }
 
 // Peeling is the (ε, δ)-DP noisy top-s selection of Algorithm 4; lambda
@@ -321,35 +296,24 @@ type (
 )
 
 // SparseMean is the one-shot (ε, δ)-DP sparse heavy-tailed mean
-// estimator: robust coordinate means plus a single Peeling release.
-func SparseMean(x *Mat, opt SparseMeanOptions) ([]float64, error) {
-	return core.SparseMean(x, opt)
-}
-
-// SparseMeanSource is SparseMean over a streaming source (labels
-// ignored); the robust coordinate means accumulate one chunk at a
-// time.
-func SparseMeanSource(src Source, opt SparseMeanOptions) ([]float64, error) {
-	return core.SparseMeanSource(src, opt)
-}
-
-// FullDataFWSource is FullDataFW over a streaming source; each
-// iteration streams the whole source chunk by chunk.
-func FullDataFWSource(src Source, opt FullDataFWOptions) ([]float64, error) {
-	return core.FullDataFWSource(src, opt)
+// estimator over the source's feature rows (labels ignored): robust
+// coordinate means, accumulated one chunk at a time, plus a single
+// Peeling release.
+func SparseMean(src Source, opt SparseMeanOptions) ([]float64, error) {
+	return core.SparseMean(src, opt)
 }
 
 // RobustRegression runs the Theorem 3 instance: ε-DP Frank–Wolfe on the
 // non-convex biweight loss with the constant-step schedule.
-func RobustRegression(ds *Dataset, opt RobustRegressionOptions) ([]float64, error) {
-	return core.RobustRegression(ds, opt)
+func RobustRegression(src Source, opt RobustRegressionOptions) ([]float64, error) {
+	return core.RobustRegression(src, opt)
 }
 
 // FullDataFW is the (ε, δ)-DP full-data variant of Algorithm 1 whose
 // utility analysis the paper leaves open; privacy holds by advanced
-// composition.
-func FullDataFW(ds *Dataset, opt FullDataFWOptions) ([]float64, error) {
-	return core.FullDataFW(ds, opt)
+// composition. Each iteration streams the whole source chunk by chunk.
+func FullDataFW(src Source, opt FullDataFWOptions) ([]float64, error) {
+	return core.FullDataFW(src, opt)
 }
 
 // Baselines (internal/core).
@@ -360,9 +324,12 @@ type (
 	RobustGaussianGDOptions = core.RobustGaussianGDOptions
 )
 
-// DPSGD runs minibatch DP-SGD with subsampling amplification.
-func DPSGD(ds *Dataset, opt DPSGDOptions) ([]float64, error) {
-	return core.DPSGD(ds, opt)
+// DPSGD runs minibatch DP-SGD with subsampling amplification, drawing
+// each batch by uniform random row access (Source.RowAt). The batch
+// draw order is a pure function of Rng, so the output is independent
+// of backend and Parallelism.
+func DPSGD(src Source, opt DPSGDOptions) ([]float64, error) {
+	return core.DPSGD(src, opt)
 }
 
 // The DPSGD accountants: AccountantCompose calibrates noise by the
@@ -374,38 +341,29 @@ const (
 	AccountantRDP     = core.AccountantRDP
 )
 
-// DPSGDSource runs minibatch DP-SGD over a streaming source, drawing
-// each batch by uniform random row access (Source.RowAt). Output is
-// bit-identical to DPSGD over the materialized dataset — the batch
-// draw order is a pure function of Rng, independent of backend and
-// Parallelism.
-func DPSGDSource(src Source, opt DPSGDOptions) ([]float64, error) {
-	return core.DPSGDSource(src, opt)
-}
-
 // NonprivateFW runs exact Frank–Wolfe (the ε→∞ reference).
-func NonprivateFW(ds *Dataset, l Loss, p Polytope, T int, w0 []float64) []float64 {
-	return core.NonprivateFW(ds, l, p, T, w0)
+func NonprivateFW(src Source, l Loss, p Polytope, T int, w0 []float64) ([]float64, error) {
+	return core.NonprivateFW(src, l, p, T, w0)
 }
 
 // NonprivateIHT runs exact iterative hard thresholding on squared loss.
-func NonprivateIHT(ds *Dataset, s, T int, eta float64) []float64 {
-	return core.NonprivateIHT(ds, s, T, eta)
+func NonprivateIHT(src Source, s, T int, eta float64) ([]float64, error) {
+	return core.NonprivateIHT(src, s, T, eta)
 }
 
 // TalwarDPFW runs the clipping-based DP-FW baseline of [50].
-func TalwarDPFW(ds *Dataset, opt TalwarFWOptions) ([]float64, error) {
-	return core.TalwarDPFW(ds, opt)
+func TalwarDPFW(src Source, opt TalwarFWOptions) ([]float64, error) {
+	return core.TalwarDPFW(src, opt)
 }
 
 // DPGD runs the gradient-clipping DP-GD baseline of [1].
-func DPGD(ds *Dataset, opt DPGDOptions) ([]float64, error) {
-	return core.DPGD(ds, opt)
+func DPGD(src Source, opt DPGDOptions) ([]float64, error) {
+	return core.DPGD(src, opt)
 }
 
 // RobustGaussianGD runs the robust-plus-Gaussian baseline of [57].
-func RobustGaussianGD(ds *Dataset, opt RobustGaussianGDOptions) ([]float64, error) {
-	return core.RobustGaussianGD(ds, opt)
+func RobustGaussianGD(src Source, opt RobustGaussianGDOptions) ([]float64, error) {
+	return core.RobustGaussianGD(src, opt)
 }
 
 // Robust statistics (internal/robust).

@@ -25,22 +25,26 @@ func TestFacadeEndToEnd(t *testing.T) {
 		Feature: htdp.LogNormal{Mu: 0, Sigma: math.Sqrt(0.6)},
 		Noise:   htdp.Normal{Mu: 0, Sigma: math.Sqrt(0.1)},
 	})
+	src := htdp.NewMemSource(ds)
 	dom := htdp.NewL1Ball(d, 1)
 
 	// Algorithm 1.
-	w1, err := htdp.FrankWolfe(ds, htdp.FWOptions{
+	w1, err := htdp.FrankWolfe(src, htdp.FWOptions{
 		Loss: htdp.SquaredLoss{}, Domain: dom, Eps: 2, Rng: rng.Split(),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := htdp.NonprivateFW(ds, htdp.SquaredLoss{}, dom, 100, nil)
+	ref, err := htdp.NonprivateFW(src, htdp.SquaredLoss{}, dom, 100, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if htdp.ExcessRisk(htdp.SquaredLoss{}, w1, ref, ds) < 0 {
 		t.Log("private beat the reference (possible at high ε); fine")
 	}
 
 	// Algorithm 2.
-	if _, err := htdp.Lasso(ds, htdp.LassoOptions{Eps: 1, Delta: 1e-5, Rng: rng.Split()}); err != nil {
+	if _, err := htdp.Lasso(src, htdp.LassoOptions{Eps: 1, Delta: 1e-5, Rng: rng.Split()}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -49,31 +53,32 @@ func TestFacadeEndToEnd(t *testing.T) {
 	sparse := htdp.LinearData(rng, htdp.LinearOpt{
 		N: n, D: d, Feature: htdp.Normal{Mu: 0, Sigma: 1}, WStar: wStar,
 	})
-	if _, err := htdp.SparseLinReg(sparse, htdp.SparseLinRegOptions{
+	sparseSrc := htdp.NewMemSource(sparse)
+	if _, err := htdp.SparseLinReg(sparseSrc, htdp.SparseLinRegOptions{
 		Eps: 1, Delta: 1e-5, SStar: 4, Rng: rng.Split(),
 	}); err != nil {
 		t.Fatal(err)
 	}
 
 	// Algorithm 5.
-	if _, err := htdp.SparseOpt(sparse, htdp.SparseOptOptions{
+	if _, err := htdp.SparseOpt(sparseSrc, htdp.SparseOptOptions{
 		Loss: htdp.SquaredLoss{}, Eps: 1, Delta: 1e-5, SStar: 4, Eta: 0.2, Rng: rng.Split(),
 	}); err != nil {
 		t.Fatal(err)
 	}
 
 	// Extensions.
-	if _, err := htdp.SparseMean(sparse.X, htdp.SparseMeanOptions{
+	if _, err := htdp.SparseMean(sparseSrc, htdp.SparseMeanOptions{
 		Eps: 1, Delta: 1e-5, SStar: 4, Rng: rng.Split(),
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := htdp.FullDataFW(ds, htdp.FullDataFWOptions{
+	if _, err := htdp.FullDataFW(src, htdp.FullDataFWOptions{
 		Loss: htdp.SquaredLoss{}, Domain: dom, Eps: 1, Delta: 1e-5, Rng: rng.Split(),
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := htdp.RobustRegression(ds, htdp.RobustRegressionOptions{
+	if _, err := htdp.RobustRegression(src, htdp.RobustRegressionOptions{
 		Eps: 1, Rng: rng.Split(),
 	}); err != nil {
 		t.Fatal(err)
@@ -141,29 +146,30 @@ func TestFacadeRemainingWrappers(t *testing.T) {
 	if sim.NumVertices() != 6 {
 		t.Fatal("simplex wrapper broken")
 	}
-	if _, err := htdp.TalwarDPFW(ds, htdp.TalwarFWOptions{
+	src := htdp.NewMemSource(ds)
+	if _, err := htdp.TalwarDPFW(src, htdp.TalwarFWOptions{
 		Loss: htdp.LogisticLoss{}, Domain: htdp.NewL1Ball(6, 1),
 		Eps: 1, Delta: 1e-5, T: 5, Rng: rng.Split(),
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := htdp.DPGD(ds, htdp.DPGDOptions{
+	if _, err := htdp.DPGD(src, htdp.DPGDOptions{
 		Loss: htdp.LogisticLoss{}, Eps: 1, Delta: 1e-5, T: 5, Rng: rng.Split(),
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := htdp.DPSGD(ds, htdp.DPSGDOptions{
+	if _, err := htdp.DPSGD(src, htdp.DPSGDOptions{
 		Loss: htdp.LogisticLoss{}, Eps: 1, Delta: 1e-5, T: 5, Batch: 50, Rng: rng.Split(),
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := htdp.RobustGaussianGD(ds, htdp.RobustGaussianGDOptions{
+	if _, err := htdp.RobustGaussianGD(src, htdp.RobustGaussianGDOptions{
 		Loss: htdp.LogisticLoss{}, Eps: 1, Delta: 1e-5, T: 5, Rng: rng.Split(),
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if w := htdp.NonprivateIHT(ds, 2, 5, 0.1); htdp.Norm0(w) > 2 {
-		t.Fatal("IHT wrapper broken")
+	if w, err := htdp.NonprivateIHT(src, 2, 5, 0.1); err != nil || htdp.Norm0(w) > 2 {
+		t.Fatalf("IHT wrapper broken: %v", err)
 	}
 	if htdp.RobustMean([]float64{1, 2, 3}, 100, 1) == 0 {
 		t.Fatal("RobustMean wrapper broken")

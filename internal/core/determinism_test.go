@@ -40,7 +40,7 @@ func TestParallelismDeterminism(t *testing.T) {
 
 	algos := map[string]func(p int) []float64{
 		"FrankWolfe": func(p int) []float64 {
-			w, err := FrankWolfe(ds, FWOptions{
+			w, err := FrankWolfe(data.NewMemSource(ds), FWOptions{
 				Loss: loss.Squared{}, Domain: ball, Eps: 1, T: 5,
 				Parallelism: p, Rng: randx.New(1),
 			})
@@ -50,7 +50,7 @@ func TestParallelismDeterminism(t *testing.T) {
 			return w
 		},
 		"Lasso": func(p int) []float64 {
-			w, err := Lasso(ds, LassoOptions{
+			w, err := Lasso(data.NewMemSource(ds), LassoOptions{
 				Eps: 1, Delta: 1e-5, T: 5, Parallelism: p, Rng: randx.New(2),
 			})
 			if err != nil {
@@ -59,7 +59,7 @@ func TestParallelismDeterminism(t *testing.T) {
 			return w
 		},
 		"SparseLinReg": func(p int) []float64 {
-			w, err := SparseLinReg(ds, SparseLinRegOptions{
+			w, err := SparseLinReg(data.NewMemSource(ds), SparseLinRegOptions{
 				Eps: 1, Delta: 1e-5, SStar: 5, T: 4, Parallelism: p, Rng: randx.New(3),
 			})
 			if err != nil {
@@ -68,7 +68,7 @@ func TestParallelismDeterminism(t *testing.T) {
 			return w
 		},
 		"SparseOpt": func(p int) []float64 {
-			w, err := SparseOpt(ds, SparseOptOptions{
+			w, err := SparseOpt(data.NewMemSource(ds), SparseOptOptions{
 				Loss: loss.Squared{}, Eps: 1, Delta: 1e-5, SStar: 5, T: 4,
 				Parallelism: p, Rng: randx.New(4),
 			})
@@ -78,7 +78,7 @@ func TestParallelismDeterminism(t *testing.T) {
 			return w
 		},
 		"SparseMean": func(p int) []float64 {
-			w, err := SparseMean(ds.X, SparseMeanOptions{
+			w, err := SparseMean(data.NewMemSource(ds), SparseMeanOptions{
 				Eps: 1, Delta: 1e-5, SStar: 5, Parallelism: p, Rng: randx.New(5),
 			})
 			if err != nil {
@@ -87,7 +87,7 @@ func TestParallelismDeterminism(t *testing.T) {
 			return w
 		},
 		"FullDataFW": func(p int) []float64 {
-			w, err := FullDataFW(ds, FullDataFWOptions{
+			w, err := FullDataFW(data.NewMemSource(ds), FullDataFWOptions{
 				Loss: loss.Squared{}, Domain: ball, Eps: 1, Delta: 1e-5, T: 4,
 				Parallelism: p, Rng: randx.New(6),
 			})
@@ -97,7 +97,7 @@ func TestParallelismDeterminism(t *testing.T) {
 			return w
 		},
 		"RobustRegression": func(p int) []float64 {
-			w, err := RobustRegression(ds, RobustRegressionOptions{
+			w, err := RobustRegression(data.NewMemSource(ds), RobustRegressionOptions{
 				Eps: 1, T: 4, Parallelism: p, Rng: randx.New(7),
 			})
 			if err != nil {
@@ -106,7 +106,7 @@ func TestParallelismDeterminism(t *testing.T) {
 			return w
 		},
 		"TalwarDPFW": func(p int) []float64 {
-			w, err := TalwarDPFW(ds, TalwarFWOptions{
+			w, err := TalwarDPFW(data.NewMemSource(ds), TalwarFWOptions{
 				Loss: loss.Squared{}, Domain: ball, Eps: 1, Delta: 1e-5, T: 4,
 				Parallelism: p, Rng: randx.New(8),
 			})
@@ -116,7 +116,7 @@ func TestParallelismDeterminism(t *testing.T) {
 			return w
 		},
 		"DPGD": func(p int) []float64 {
-			w, err := DPGD(dsCls, DPGDOptions{
+			w, err := DPGD(data.NewMemSource(dsCls), DPGDOptions{
 				Loss: loss.Logistic{}, Eps: 1, Delta: 1e-5, T: 4,
 				Parallelism: p, Rng: randx.New(9),
 			})
@@ -126,7 +126,7 @@ func TestParallelismDeterminism(t *testing.T) {
 			return w
 		},
 		"DPSGD": func(p int) []float64 {
-			w, err := DPSGD(dsCls, DPSGDOptions{
+			w, err := DPSGD(data.NewMemSource(dsCls), DPSGDOptions{
 				Loss: loss.Logistic{}, Eps: 1, Delta: 1e-5, T: 6, Batch: 50,
 				Parallelism: p, Rng: randx.New(10),
 			})
@@ -136,7 +136,7 @@ func TestParallelismDeterminism(t *testing.T) {
 			return w
 		},
 		"RobustGaussianGD": func(p int) []float64 {
-			w, err := RobustGaussianGD(dsCls, RobustGaussianGDOptions{
+			w, err := RobustGaussianGD(data.NewMemSource(dsCls), RobustGaussianGDOptions{
 				Loss: loss.Logistic{}, Eps: 1, Delta: 1e-5, T: 4,
 				Parallelism: p, Rng: randx.New(11),
 			})
@@ -177,22 +177,26 @@ func TestParallelismDeterminism(t *testing.T) {
 // internal fan-out must still be run-to-run reproducible.
 func TestNonprivateDeterminism(t *testing.T) {
 	ds := determinismDataset(17, 400, 25)
-	runs := map[string]func() []float64{
-		"NonprivateFW": func() []float64 {
-			return NonprivateFW(ds, loss.Squared{}, polytope.NewL1Ball(25, 1), 5, nil)
+	src := data.NewMemSource(ds)
+	runs := map[string]func() ([]float64, error){
+		"NonprivateFW": func() ([]float64, error) {
+			return NonprivateFW(src, loss.Squared{}, polytope.NewL1Ball(25, 1), 5, nil)
 		},
-		"NonprivateIHT": func() []float64 {
-			return NonprivateIHT(ds, 5, 5, 0.5)
-		},
-		"NonprivateSparseGD": func() []float64 {
-			return NonprivateSparseGD(ds, loss.Squared{}, 5, 5, 0.1)
+		"NonprivateIHT": func() ([]float64, error) {
+			return NonprivateIHT(src, 5, 5, 0.5)
 		},
 	}
 	for name, run := range runs {
 		t.Run(name, func(t *testing.T) {
-			want := run()
+			want, err := run()
+			if err != nil {
+				t.Fatal(err)
+			}
 			for rep := 0; rep < 3; rep++ {
-				got := run()
+				got, err := run()
+				if err != nil {
+					t.Fatal(err)
+				}
 				for j := range want {
 					if got[j] != want[j] {
 						t.Fatalf("rep %d: coord %d = %v, want %v", rep, j, got[j], want[j])
@@ -210,13 +214,13 @@ func TestCoreStressRace(t *testing.T) {
 	ds := determinismDataset(19, 150, 7)
 	many := 8 * runtime.GOMAXPROCS(0)
 	for rep := 0; rep < 5; rep++ {
-		if _, err := FrankWolfe(ds, FWOptions{
+		if _, err := FrankWolfe(data.NewMemSource(ds), FWOptions{
 			Loss: loss.Squared{}, Domain: polytope.NewL1Ball(7, 1), Eps: 1, T: 3,
 			Parallelism: many, Rng: randx.New(int64(rep)),
 		}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := SparseOpt(ds, SparseOptOptions{
+		if _, err := SparseOpt(data.NewMemSource(ds), SparseOptOptions{
 			Loss: loss.Squared{}, Eps: 1, Delta: 1e-5, SStar: 2, T: 3,
 			Parallelism: many, Rng: randx.New(int64(rep)),
 		}); err != nil {

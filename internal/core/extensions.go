@@ -47,19 +47,12 @@ type SparseMeanOptions struct {
 	Rng         *randx.RNG
 }
 
-// SparseMean privately estimates an s*-sparse mean from the rows of an
-// in-memory matrix; it is SparseMeanSource over a MemSource.
-func SparseMean(x *vecmath.Mat, opt SparseMeanOptions) ([]float64, error) {
-	ds := &data.Dataset{Label: "sparsemean", X: x, Y: make([]float64, x.Rows)}
-	return SparseMeanSource(data.NewMemSource(ds), opt)
-}
-
-// SparseMeanSource privately estimates an s*-sparse mean of the
+// SparseMean privately estimates an s*-sparse mean of the
 // source's feature rows (labels are ignored), streaming the robust
 // coordinate-wise mean one chunk at a time. The estimate has
 // ℓ∞-sensitivity 4√2·K/(3n), so the single Peeling release is
 // (ε, δ)-DP.
-func SparseMeanSource(src data.Source, opt SparseMeanOptions) ([]float64, error) {
+func SparseMean(src data.Source, opt SparseMeanOptions) ([]float64, error) {
 	if opt.Rng == nil {
 		return nil, errors.New("core: SparseMeanOptions needs Rng")
 	}
@@ -71,7 +64,7 @@ func SparseMeanSource(src data.Source, opt SparseMeanOptions) ([]float64, error)
 	}
 	n, d := src.N(), src.D()
 	if n < 1 {
-		return nil, errors.New("core: empty data")
+		return nil, errEmpty
 	}
 	if opt.SStar < 1 || opt.SStar > d {
 		return nil, fmt.Errorf("core: SStar=%d outside [1,%d]", opt.SStar, d)
@@ -127,17 +120,11 @@ type RobustRegressionOptions struct {
 	Trace       Trace
 }
 
-// RobustRegression runs the Theorem 3 robust-regression algorithm on
-// an in-memory dataset; it is RobustRegressionSource over a MemSource.
-func RobustRegression(ds *data.Dataset, opt RobustRegressionOptions) ([]float64, error) {
-	return RobustRegressionSource(data.NewMemSource(ds), opt)
-}
-
-// RobustRegressionSource runs the Theorem 3 robust-regression
+// RobustRegression runs the Theorem 3 robust-regression
 // algorithm over a data source: Algorithm 1 on ψ(⟨x, w⟩ − y) with the
 // constant step size. It is ε-DP and achieves excess risk
 // Õ(λmax·log^{1/4}(dn/ζ)/(nε)^{1/4}) under Assumption 2.
-func RobustRegressionSource(src data.Source, opt RobustRegressionOptions) ([]float64, error) {
+func RobustRegression(src data.Source, opt RobustRegressionOptions) ([]float64, error) {
 	if opt.Rng == nil {
 		return nil, errors.New("core: RobustRegressionOptions needs Rng")
 	}
@@ -167,7 +154,7 @@ func RobustRegressionSource(src data.Source, opt RobustRegressionOptions) ([]flo
 	if T > src.N() {
 		T = src.N()
 	}
-	return FrankWolfeSource(src, FWOptions{
+	return FrankWolfe(src, FWOptions{
 		Loss:        loss.Biweight{C: opt.C},
 		Domain:      opt.Domain,
 		Eps:         opt.Eps,
@@ -204,13 +191,7 @@ type FullDataFWOptions struct {
 	Trace       Trace
 }
 
-// FullDataFW runs the full-data heavy-tailed DP-FW on an in-memory
-// dataset; it is FullDataFWSource over a MemSource.
-func FullDataFW(ds *data.Dataset, opt FullDataFWOptions) ([]float64, error) {
-	return FullDataFWSource(data.NewMemSource(ds), opt)
-}
-
-// FullDataFWSource runs the full-data heavy-tailed DP-FW over a data
+// FullDataFW runs the full-data heavy-tailed DP-FW over a data
 // source; each iteration streams the whole source one chunk at a time
 // through a robust.StreamMean accumulator, so at most one chunk is
 // resident. Privacy: each iteration's exponential mechanism touches
@@ -219,7 +200,7 @@ func FullDataFW(ds *data.Dataset, opt FullDataFWOptions) ([]float64, error) {
 // analysis open (the iterate depends on all data, breaking the
 // independence used in the proof of Theorem 2); the abl-split-vs-full
 // experiment measures it instead.
-func FullDataFWSource(src data.Source, opt FullDataFWOptions) ([]float64, error) {
+func FullDataFW(src data.Source, opt FullDataFWOptions) ([]float64, error) {
 	if opt.Loss == nil || opt.Domain == nil || opt.Rng == nil {
 		return nil, errors.New("core: FullDataFWOptions needs Loss, Domain and Rng")
 	}
@@ -231,7 +212,7 @@ func FullDataFWSource(src data.Source, opt FullDataFWOptions) ([]float64, error)
 	}
 	n, d := src.N(), src.D()
 	if n < 1 {
-		return nil, errors.New("core: empty dataset")
+		return nil, errEmpty
 	}
 	if opt.Domain.Dim() != d {
 		return nil, fmt.Errorf("core: domain dim %d != data dim %d", opt.Domain.Dim(), d)

@@ -11,7 +11,9 @@ import (
 	"htdp/internal/vecmath"
 )
 
-func sparseMeanData(seed int64, n, d int, mu []float64) *vecmath.Mat {
+// sparseMeanData returns n rows of µ plus centred log-normal noise, with
+// zero labels (SparseMean ignores them).
+func sparseMeanData(seed int64, n, d int, mu []float64) *data.Dataset {
 	r := randx.New(seed)
 	noise := randx.Shifted{Base: randx.LogNormal{Mu: 0, Sigma: 0.7}}
 	x := vecmath.NewMat(n, d)
@@ -21,11 +23,11 @@ func sparseMeanData(seed int64, n, d int, mu []float64) *vecmath.Mat {
 			row[j] = mu[j] + noise.Sample(r)
 		}
 	}
-	return x
+	return &data.Dataset{Label: "sm", X: x, Y: make([]float64, n)}
 }
 
 func TestSparseMeanValidation(t *testing.T) {
-	x := vecmath.NewMat(10, 5)
+	x := &data.Dataset{X: vecmath.NewMat(10, 5), Y: make([]float64, 10)}
 	r := randx.New(1)
 	cases := map[string]SparseMeanOptions{
 		"no-rng":    {Eps: 1, Delta: 1e-5, SStar: 2},
@@ -34,11 +36,11 @@ func TestSparseMeanValidation(t *testing.T) {
 		"bad-sstar": {Eps: 1, Delta: 1e-5, SStar: 9, Rng: r},
 	}
 	for name, opt := range cases {
-		if _, err := SparseMean(x, opt); err == nil {
+		if _, err := SparseMean(data.NewMemSource(x), opt); err == nil {
 			t.Errorf("%s: expected error", name)
 		}
 	}
-	if _, err := SparseMean(vecmath.NewMat(0, 5), SparseMeanOptions{Eps: 1, Delta: 1e-5, SStar: 2, Rng: r}); err == nil {
+	if _, err := SparseMean(data.NewMemSource(&data.Dataset{X: vecmath.NewMat(0, 5)}), SparseMeanOptions{Eps: 1, Delta: 1e-5, SStar: 2, Rng: r}); err == nil {
 		t.Error("empty data accepted")
 	}
 }
@@ -51,7 +53,7 @@ func TestSparseMeanRecovers(t *testing.T) {
 	var tot float64
 	const reps = 3
 	for k := int64(0); k < reps; k++ {
-		got, err := SparseMean(x, SparseMeanOptions{
+		got, err := SparseMean(data.NewMemSource(x), SparseMeanOptions{
 			Eps: 1, Delta: 1e-5, SStar: sStar, Tau: 2, Rng: randx.New(3 + k),
 		})
 		if err != nil {
@@ -74,16 +76,15 @@ func TestSparseMeanOneShotVsIterative(t *testing.T) {
 	d, sStar := 80, 3
 	mu := make([]float64, d)
 	mu[3], mu[17], mu[31] = 0.8, -0.6, 0.5
-	x := sparseMeanData(4, 20000, d, mu)
-	ds := &data.Dataset{Label: "sm", X: x, Y: make([]float64, x.Rows), WStar: mu}
+	ds := sparseMeanData(4, 20000, d, mu)
 	var oneTot, iterTot float64
 	const reps = 3
 	for k := int64(0); k < reps; k++ {
-		one, err := SparseMean(x, SparseMeanOptions{Eps: 1, Delta: 1e-5, SStar: sStar, Tau: 2, Rng: randx.New(10 + k)})
+		one, err := SparseMean(data.NewMemSource(ds), SparseMeanOptions{Eps: 1, Delta: 1e-5, SStar: sStar, Tau: 2, Rng: randx.New(10 + k)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		it, err := SparseOpt(ds, SparseOptOptions{
+		it, err := SparseOpt(data.NewMemSource(ds), SparseOptOptions{
 			Loss: loss.MeanSquared{}, Eps: 1, Delta: 1e-5, SStar: sStar, Eta: 0.45, Rng: randx.New(20 + k),
 		})
 		if err != nil {
@@ -112,7 +113,7 @@ func TestRobustRegression(t *testing.T) {
 		Noise:   randx.Scaled{Base: randx.StudentT{Nu: 2.5}, Factor: 0.3}, // symmetric, heavy
 		WStar:   wStar,
 	})
-	w, err := RobustRegression(ds, RobustRegressionOptions{
+	w, err := RobustRegression(data.NewMemSource(ds), RobustRegressionOptions{
 		C: 2, Eps: 2, Rng: randx.New(6),
 	})
 	if err != nil {
@@ -126,7 +127,7 @@ func TestRobustRegression(t *testing.T) {
 	if loss.Empirical(l, w, ds.X, ds.Y) >= loss.Empirical(l, zero, ds.X, ds.Y) {
 		t.Fatal("no improvement on biweight risk")
 	}
-	if _, err := RobustRegression(ds, RobustRegressionOptions{Eps: 1}); err == nil {
+	if _, err := RobustRegression(data.NewMemSource(ds), RobustRegressionOptions{Eps: 1}); err == nil {
 		t.Error("missing Rng accepted")
 	}
 }
@@ -143,7 +144,7 @@ func TestFullDataFWValidation(t *testing.T) {
 		"w0-out":   {Loss: loss.Squared{}, Domain: dom, Eps: 1, Delta: 1e-5, Rng: r, W0: []float64{9, 0, 0, 0, 0}},
 	}
 	for name, opt := range cases {
-		if _, err := FullDataFW(ds, opt); err == nil {
+		if _, err := FullDataFW(data.NewMemSource(ds), opt); err == nil {
 			t.Errorf("%s: expected error", name)
 		}
 	}
@@ -153,7 +154,7 @@ func TestFullDataFWFeasibleAndImproves(t *testing.T) {
 	ds := linearL1Workload(9, 20000, 20)
 	dom := polytope.NewL1Ball(20, 1)
 	var violated bool
-	w, err := FullDataFW(ds, FullDataFWOptions{
+	w, err := FullDataFW(data.NewMemSource(ds), FullDataFWOptions{
 		Loss: loss.Squared{}, Domain: dom, Eps: 1, Delta: 1e-5, Rng: randx.New(10),
 		Trace: func(t int, w []float64) {
 			if !dom.Contains(w, 1e-9) {
@@ -179,7 +180,7 @@ func TestFullDataFWUsesMoreIterations(t *testing.T) {
 	// Θ((nε)^{1/3}) rounds on n/T samples.
 	ds := linearL1Workload(11, 8000, 10)
 	var fullT, splitT int
-	_, err := FullDataFW(ds, FullDataFWOptions{
+	_, err := FullDataFW(data.NewMemSource(ds), FullDataFWOptions{
 		Loss: loss.Squared{}, Domain: polytope.NewL1Ball(10, 1), Eps: 1, Delta: 1e-5,
 		Rng:   randx.New(12),
 		Trace: func(t int, _ []float64) { fullT = t },
@@ -187,7 +188,7 @@ func TestFullDataFWUsesMoreIterations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = FrankWolfe(ds, FWOptions{
+	_, err = FrankWolfe(data.NewMemSource(ds), FWOptions{
 		Loss: loss.Squared{}, Domain: polytope.NewL1Ball(10, 1), Eps: 1,
 		Rng:   randx.New(13),
 		Trace: func(t int, _ []float64) { splitT = t },

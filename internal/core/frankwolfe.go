@@ -24,6 +24,9 @@ import (
 	"htdp/internal/vecmath"
 )
 
+// errEmpty is every algorithm's error for a source with no rows.
+var errEmpty = errors.New("core: empty dataset")
+
 // Trace receives the iterate after every step; t counts from 1. Any
 // option struct with a Trace field calls it for diagnostics and tests.
 type Trace func(t int, w []float64)
@@ -78,7 +81,7 @@ func (o *FWOptions) fill(n, d int) error {
 		return err
 	}
 	if n < 1 {
-		return errors.New("core: empty dataset")
+		return errEmpty
 	}
 	if o.Domain.Dim() != d {
 		return fmt.Errorf("core: domain dim %d != data dim %d", o.Domain.Dim(), d)
@@ -121,22 +124,14 @@ func (o *FWOptions) fill(n, d int) error {
 	return nil
 }
 
-// FrankWolfe runs Heavy-tailed DP-FW (Algorithm 1) on an in-memory
-// dataset; it is FrankWolfeSource over a MemSource, so chunks are
-// zero-copy views and results are bit-identical to a streamed run on
-// the same rows.
-func FrankWolfe(ds *data.Dataset, opt FWOptions) ([]float64, error) {
-	return FrankWolfeSource(data.NewMemSource(ds), opt)
-}
-
-// FrankWolfeSource runs Heavy-tailed DP-FW (Algorithm 1) over a data
-// source and returns the final iterate w_T. Iteration t touches only
+// FrankWolfe runs Heavy-tailed DP-FW (Algorithm 1) over a data source
+// and returns the final iterate w_T. Iteration t touches only
 // chunk t−1 of T — the disjoint-chunk strategy of the paper — so at
 // most one chunk is resident at a time and n may exceed local memory.
 // The whole invocation is ε-DP: each iteration applies the exponential
 // mechanism with budget ε to a fresh disjoint chunk, so no composition
 // is paid (Theorem 1).
-func FrankWolfeSource(src data.Source, opt FWOptions) ([]float64, error) {
+func FrankWolfe(src data.Source, opt FWOptions) ([]float64, error) {
 	if err := opt.fill(src.N(), src.D()); err != nil {
 		return nil, err
 	}

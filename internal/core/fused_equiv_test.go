@@ -50,8 +50,8 @@ func refRobustGrad(e robust.MeanEstimator, dst, w []float64, l loss.Loss, ck *da
 	})
 }
 
-// refFrankWolfeSource is the pre-fusion Algorithm 1 loop.
-func refFrankWolfeSource(src data.Source, opt FWOptions) ([]float64, error) {
+// refFrankWolfe is the pre-fusion Algorithm 1 loop.
+func refFrankWolfe(src data.Source, opt FWOptions) ([]float64, error) {
 	if err := opt.fill(src.N(), src.D()); err != nil {
 		return nil, err
 	}
@@ -98,9 +98,9 @@ func refMaxVertexL1(p polytope.Polytope) float64 {
 	return m
 }
 
-// refLassoSource is the pre-fusion Algorithm 2 loop (allocating blocked
+// refLasso is the pre-fusion Algorithm 2 loop (allocating blocked
 // kernels, closure-per-iteration exponential mechanism).
-func refLassoSource(src data.Source, opt LassoOptions) ([]float64, error) {
+func refLasso(src data.Source, opt LassoOptions) ([]float64, error) {
 	if err := opt.fill(src.N(), src.D()); err != nil {
 		return nil, err
 	}
@@ -140,8 +140,8 @@ func refLassoSource(src data.Source, opt LassoOptions) ([]float64, error) {
 	return w, nil
 }
 
-// refSparseLinRegSource is the pre-fusion Algorithm 3 loop.
-func refSparseLinRegSource(src data.Source, opt SparseLinRegOptions) ([]float64, error) {
+// refSparseLinReg is the pre-fusion Algorithm 3 loop.
+func refSparseLinReg(src data.Source, opt SparseLinRegOptions) ([]float64, error) {
 	if err := opt.fill(src.N(), src.D()); err != nil {
 		return nil, err
 	}
@@ -170,8 +170,8 @@ func refSparseLinRegSource(src data.Source, opt SparseLinRegOptions) ([]float64,
 	return w, nil
 }
 
-// refSparseOptSource is the pre-fusion Algorithm 5 loop.
-func refSparseOptSource(src data.Source, opt SparseOptOptions) ([]float64, error) {
+// refSparseOpt is the pre-fusion Algorithm 5 loop.
+func refSparseOpt(src data.Source, opt SparseOptOptions) ([]float64, error) {
 	if err := opt.fill(src.N(), src.D()); err != nil {
 		return nil, err
 	}
@@ -234,11 +234,11 @@ func TestFusedFrankWolfeBitIdentical(t *testing.T) {
 			opt := FWOptions{Loss: l, Domain: ball, Eps: 1, T: 6, Parallelism: p}
 			optRef := opt
 			opt.Rng, optRef.Rng = randx.New(9), randx.New(9)
-			got, err := FrankWolfeSource(data.NewMemSource(ds), opt)
+			got, err := FrankWolfe(data.NewMemSource(ds), opt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := refFrankWolfeSource(data.NewMemSource(ds), optRef)
+			want, err := refFrankWolfe(data.NewMemSource(ds), optRef)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -264,11 +264,11 @@ func TestFusedFrankWolfeExplicitDomain(t *testing.T) {
 			W0: vecmath.Clone(verts[0])}
 		optRef := opt
 		opt.Rng, optRef.Rng = randx.New(3), randx.New(3)
-		got, err := FrankWolfeSource(data.NewMemSource(ds), opt)
+		got, err := FrankWolfe(data.NewMemSource(ds), opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := refFrankWolfeSource(data.NewMemSource(ds), optRef)
+		want, err := refFrankWolfe(data.NewMemSource(ds), optRef)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -284,11 +284,11 @@ func TestFusedLassoBitIdentical(t *testing.T) {
 		opt := LassoOptions{Eps: 1, Delta: 1e-5, T: 6, Parallelism: p}
 		optRef := opt
 		opt.Rng, optRef.Rng = randx.New(21), randx.New(21)
-		got, err := LassoSource(data.NewMemSource(ds), opt)
+		got, err := Lasso(data.NewMemSource(ds), opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := refLassoSource(data.NewMemSource(ds), optRef)
+		want, err := refLasso(data.NewMemSource(ds), optRef)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -304,11 +304,11 @@ func TestFusedSparseLinRegBitIdentical(t *testing.T) {
 		opt := SparseLinRegOptions{Eps: 1, Delta: 1e-5, SStar: 6, T: 5, Parallelism: p}
 		optRef := opt
 		opt.Rng, optRef.Rng = randx.New(33), randx.New(33)
-		got, err := SparseLinRegSource(data.NewMemSource(ds), opt)
+		got, err := SparseLinReg(data.NewMemSource(ds), opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := refSparseLinRegSource(data.NewMemSource(ds), optRef)
+		want, err := refSparseLinReg(data.NewMemSource(ds), optRef)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -330,11 +330,11 @@ func TestFusedSparseOptBitIdentical(t *testing.T) {
 			opt := SparseOptOptions{Loss: l, Eps: 1, Delta: 1e-5, SStar: 6, T: 5, Parallelism: p}
 			optRef := opt
 			opt.Rng, optRef.Rng = randx.New(44), randx.New(44)
-			got, err := SparseOptSource(data.NewMemSource(ds), opt)
+			got, err := SparseOpt(data.NewMemSource(ds), opt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := refSparseOptSource(data.NewMemSource(ds), optRef)
+			want, err := refSparseOpt(data.NewMemSource(ds), optRef)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -367,7 +367,7 @@ func TestFullDataFWFusedBitIdentical(t *testing.T) {
 	ds := equivData(t)
 	ball := polytope.NewL1Ball(45, 1)
 	run := func(l loss.Loss, seed int64) []float64 {
-		w, err := FullDataFW(ds, FullDataFWOptions{
+		w, err := FullDataFW(data.NewMemSource(ds), FullDataFWOptions{
 			Loss: l, Domain: ball, Eps: 1, Delta: 1e-5, T: 4,
 			Parallelism: 2, Rng: randx.New(seed),
 		})

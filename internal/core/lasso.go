@@ -48,7 +48,7 @@ func (o *LassoOptions) fill(n, d int) error {
 		return errors.New("core: Algorithm 2 is (ε,δ)-DP and needs δ > 0")
 	}
 	if n < 1 {
-		return errors.New("core: empty dataset")
+		return errEmpty
 	}
 	if o.Domain.Dims == 0 {
 		o.Domain = polytope.NewL1Ball(d, 1)
@@ -78,15 +78,8 @@ func (o *LassoOptions) fill(n, d int) error {
 	return nil
 }
 
-// Lasso runs Heavy-tailed Private LASSO (Algorithm 2) on an in-memory
-// dataset; it is LassoSource over a MemSource, so results are
-// bit-identical to a streamed run on the same rows.
-func Lasso(ds *data.Dataset, opt LassoOptions) ([]float64, error) {
-	return LassoSource(data.NewMemSource(ds), opt)
-}
-
-// LassoSource runs Heavy-tailed Private LASSO (Algorithm 2) over a
-// data source and returns w_T. The algorithm needs the full shrunken
+// Lasso runs Heavy-tailed Private LASSO (Algorithm 2) over a data
+// source and returns w_T. The algorithm needs the full shrunken
 // data every iteration, so each round streams the source in
 // data.StreamChunks(n) chunks — shrinkage is applied per chunk on load
 // (entry-wise, so chunked equals whole-matrix shrinkage bit for bit)
@@ -95,7 +88,7 @@ func Lasso(ds *data.Dataset, opt LassoOptions) ([]float64, error) {
 // ε/(2√(2T·log(1/δ))) on the full shrunken data, whose score
 // sensitivity is 8‖W‖₁K²/n; advanced composition over T rounds yields
 // (ε, δ)-DP.
-func LassoSource(src data.Source, opt LassoOptions) ([]float64, error) {
+func Lasso(src data.Source, opt LassoOptions) ([]float64, error) {
 	if err := opt.fill(src.N(), src.D()); err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"htdp/internal/loss"
 	"htdp/internal/polytope"
 	"htdp/internal/randx"
+	"htdp/internal/vecmath"
 )
 
 // TestSourceEquivalence is the streaming layer's contract: every
@@ -49,74 +51,79 @@ func equivSources(t *testing.T) (gen *data.GenSource, mem, csv data.Source) {
 	return gen, mem, src
 }
 
-func TestSourceEquivalence(t *testing.T) {
-	gen, mem, csv := equivSources(t)
+// equivAlgos runs every chunk-based entry point at worker count p with
+// fixed options for 40-dimensional data.
+func equivAlgos() map[string]func(src data.Source, p int) ([]float64, error) {
 	ball := polytope.NewL1Ball(40, 1)
-
-	algos := map[string]func(src data.Source, p int) ([]float64, error){
+	return map[string]func(src data.Source, p int) ([]float64, error){
 		"FrankWolfe": func(src data.Source, p int) ([]float64, error) {
-			return FrankWolfeSource(src, FWOptions{
+			return FrankWolfe(src, FWOptions{
 				Loss: loss.Squared{}, Domain: ball, Eps: 1, T: 5,
 				Parallelism: p, Rng: randx.New(1),
 			})
 		},
 		"Lasso": func(src data.Source, p int) ([]float64, error) {
-			return LassoSource(src, LassoOptions{
+			return Lasso(src, LassoOptions{
 				Eps: 1, Delta: 1e-5, T: 5, Parallelism: p, Rng: randx.New(2),
 			})
 		},
 		"SparseLinReg": func(src data.Source, p int) ([]float64, error) {
-			return SparseLinRegSource(src, SparseLinRegOptions{
+			return SparseLinReg(src, SparseLinRegOptions{
 				Eps: 1, Delta: 1e-5, SStar: 5, T: 4, Parallelism: p, Rng: randx.New(3),
 			})
 		},
 		"SparseOpt": func(src data.Source, p int) ([]float64, error) {
-			return SparseOptSource(src, SparseOptOptions{
+			return SparseOpt(src, SparseOptOptions{
 				Loss: loss.Squared{}, Eps: 1, Delta: 1e-5, SStar: 5, T: 4,
 				Parallelism: p, Rng: randx.New(4),
 			})
 		},
 		"SparseMean": func(src data.Source, p int) ([]float64, error) {
-			return SparseMeanSource(src, SparseMeanOptions{
+			return SparseMean(src, SparseMeanOptions{
 				Eps: 1, Delta: 1e-5, SStar: 5, Parallelism: p, Rng: randx.New(5),
 			})
 		},
 		"FullDataFW": func(src data.Source, p int) ([]float64, error) {
-			return FullDataFWSource(src, FullDataFWOptions{
+			return FullDataFW(src, FullDataFWOptions{
 				Loss: loss.Squared{}, Domain: ball, Eps: 1, Delta: 1e-5, T: 4,
 				Parallelism: p, Rng: randx.New(6),
 			})
 		},
 		"RobustRegression": func(src data.Source, p int) ([]float64, error) {
-			return RobustRegressionSource(src, RobustRegressionOptions{
+			return RobustRegression(src, RobustRegressionOptions{
 				Eps: 1, T: 4, Parallelism: p, Rng: randx.New(7),
 			})
 		},
 		"TalwarDPFW": func(src data.Source, p int) ([]float64, error) {
-			return TalwarDPFWSource(src, TalwarFWOptions{
+			return TalwarDPFW(src, TalwarFWOptions{
 				Loss: loss.Squared{}, Domain: ball, Eps: 1, Delta: 1e-5, T: 4,
 				Parallelism: p, Rng: randx.New(8),
 			})
 		},
 		"DPGD": func(src data.Source, p int) ([]float64, error) {
-			return DPGDSource(src, DPGDOptions{
+			return DPGD(src, DPGDOptions{
 				Loss: loss.Squared{}, Eps: 1, Delta: 1e-5, T: 4,
 				Parallelism: p, Rng: randx.New(9),
 			})
 		},
 		"RobustGaussianGD": func(src data.Source, p int) ([]float64, error) {
-			return RobustGaussianGDSource(src, RobustGaussianGDOptions{
+			return RobustGaussianGD(src, RobustGaussianGDOptions{
 				Loss: loss.Squared{}, Eps: 1, Delta: 1e-5, T: 4,
 				Parallelism: p, Rng: randx.New(10),
 			})
 		},
 		"NonprivateFW": func(src data.Source, p int) ([]float64, error) {
-			return NonprivateFWSource(src, loss.Squared{}, ball, 5, nil)
+			return NonprivateFW(src, loss.Squared{}, ball, 5, nil)
 		},
 		"NonprivateIHT": func(src data.Source, p int) ([]float64, error) {
-			return NonprivateIHTSource(src, 5, 5, 0.5)
+			return NonprivateIHT(src, 5, 5, 0.5)
 		},
 	}
+}
+
+func TestSourceEquivalence(t *testing.T) {
+	gen, mem, csv := equivSources(t)
+	algos := equivAlgos()
 
 	backends := map[string]data.Source{"mem": mem, "csv": csv, "gen": gen}
 	workers := []int{1, 4}
@@ -169,5 +176,29 @@ func TestSourceEquivalenceRisk(t *testing.T) {
 				t.Fatalf("%s workers=%d: risk %v, want bit-identical %v", bname, p, got, want)
 			}
 		}
+	}
+}
+
+// TestEmptySource: every entry point rejects a source with no rows with
+// the empty-dataset error — never a panic, never weights computed from
+// nothing.
+func TestEmptySource(t *testing.T) {
+	empty := data.NewMemSource(&data.Dataset{X: vecmath.NewMat(0, 40)})
+	algos := equivAlgos()
+	algos["DPSGD"] = func(src data.Source, p int) ([]float64, error) {
+		return DPSGD(src, dpsgdOpt(p, ""))
+	}
+	for name, run := range algos {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("panic: %v", r)
+				}
+			}()
+			w, err := run(empty, 1)
+			if !errors.Is(err, errEmpty) {
+				t.Fatalf("got (%v, %v), want error %q", w, err, errEmpty)
+			}
+		})
 	}
 }

@@ -53,7 +53,7 @@ func (o *SparseLinRegOptions) fill(n, d int) error {
 		return errors.New("core: Algorithm 3 is (ε,δ)-DP and needs δ > 0")
 	}
 	if n < 1 {
-		return errors.New("core: empty dataset")
+		return errEmpty
 	}
 	if o.SStar < 1 || o.SStar > d {
 		return fmt.Errorf("core: SStar=%d outside [1,%d]", o.SStar, d)
@@ -92,14 +92,6 @@ func (o *SparseLinRegOptions) fill(n, d int) error {
 }
 
 // SparseLinReg runs Heavy-tailed Private Sparse Linear Regression
-// (Algorithm 3) on an in-memory dataset; it is SparseLinRegSource over
-// a MemSource, so results are bit-identical to a streamed run on the
-// same rows.
-func SparseLinReg(ds *data.Dataset, opt SparseLinRegOptions) ([]float64, error) {
-	return SparseLinRegSource(data.NewMemSource(ds), opt)
-}
-
-// SparseLinRegSource runs Heavy-tailed Private Sparse Linear Regression
 // (Algorithm 3) over a data source and returns w_{T+1}. Iteration t
 // loads only chunk t−1 of T, shrunken on load (entry-wise, so per-chunk
 // shrinkage equals the listing's whole-data shrinkage bit for bit), so
@@ -107,7 +99,7 @@ func SparseLinReg(ds *data.Dataset, opt SparseLinRegOptions) ([]float64, error) 
 // touches a disjoint chunk and the Peeling call is calibrated to the
 // ℓ∞-sensitivity 2K²η₀(√s+1)/m of the gradient step, so the whole run
 // is (ε, δ)-DP.
-func SparseLinRegSource(src data.Source, opt SparseLinRegOptions) ([]float64, error) {
+func SparseLinReg(src data.Source, opt SparseLinRegOptions) ([]float64, error) {
 	if err := opt.fill(src.N(), src.D()); err != nil {
 		return nil, err
 	}

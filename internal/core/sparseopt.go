@@ -65,7 +65,7 @@ func (o *SparseOptOptions) fill(n, d int) error {
 		return errors.New("core: Algorithm 5 is (ε,δ)-DP and needs δ > 0")
 	}
 	if n < 1 {
-		return errors.New("core: empty dataset")
+		return errEmpty
 	}
 	if o.SStar < 1 || o.SStar > d {
 		return fmt.Errorf("core: SStar=%d outside [1,%d]", o.SStar, d)
@@ -116,20 +116,13 @@ func (o *SparseOptOptions) fill(n, d int) error {
 	return nil
 }
 
-// SparseOpt runs Heavy-tailed Private Sparse Optimization (Algorithm 5)
-// on an in-memory dataset; it is SparseOptSource over a MemSource, so
-// results are bit-identical to a streamed run on the same rows.
-func SparseOpt(ds *data.Dataset, opt SparseOptOptions) ([]float64, error) {
-	return SparseOptSource(data.NewMemSource(ds), opt)
-}
-
-// SparseOptSource runs Heavy-tailed Private Sparse Optimization
+// SparseOpt runs Heavy-tailed Private Sparse Optimization
 // (Algorithm 5) over a data source and returns w_{T+1}. Iteration t
 // loads only chunk t−1 of T, so at most one chunk is resident. Privacy
 // (Theorem 8): the gradient step's ℓ∞-sensitivity is η·4√2·k/(3m) —
 // the robust estimator's sensitivity scaled by the step size — and
 // Peeling on disjoint chunks makes the whole run (ε, δ)-DP.
-func SparseOptSource(src data.Source, opt SparseOptOptions) ([]float64, error) {
+func SparseOpt(src data.Source, opt SparseOptOptions) ([]float64, error) {
 	if err := opt.fill(src.N(), src.D()); err != nil {
 		return nil, err
 	}

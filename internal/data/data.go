@@ -223,23 +223,6 @@ func validateShape(n, d int) {
 	}
 }
 
-// Bootstrap returns a dataset of m rows drawn with replacement — the
-// resampling primitive for stability diagnostics on the simulated-real
-// figures.
-func (d *Dataset) Bootstrap(r *randx.RNG, m int) *Dataset {
-	if m < 1 {
-		panic("data: Bootstrap needs m ≥ 1")
-	}
-	x := vecmath.NewMat(m, d.D())
-	y := make([]float64, m)
-	for i := 0; i < m; i++ {
-		j := r.Intn(d.N())
-		copy(x.Row(i), d.X.Row(j))
-		y[i] = d.Y[j]
-	}
-	return &Dataset{Label: d.Label + "-boot", X: x, Y: y, WStar: d.WStar}
-}
-
 // Standardize rescales every feature column in place to unit empirical
 // second moment (skipping all-zero columns) and returns the per-column
 // scales applied. Mirrors the usual preprocessing for the UCI runs.

@@ -190,34 +190,6 @@ func TestCustomWStar(t *testing.T) {
 	Linear(r, LinearOpt{N: 10, D: 3, Feature: randx.Normal{Mu: 0, Sigma: 1}, WStar: w})
 }
 
-func TestBootstrap(t *testing.T) {
-	r := randx.New(20)
-	d := Linear(r, LinearOpt{N: 30, D: 2, Feature: randx.Normal{Mu: 0, Sigma: 1}})
-	b := d.Bootstrap(r, 100)
-	if b.N() != 100 || b.D() != 2 {
-		t.Fatalf("shape %dx%d", b.N(), b.D())
-	}
-	// Every bootstrap row must equal some original row.
-	for i := 0; i < b.N(); i++ {
-		found := false
-		for j := 0; j < d.N(); j++ {
-			if vecmath.Dist2(b.X.Row(i), d.X.Row(j)) == 0 && b.Y[i] == d.Y[j] {
-				found = true
-				break
-			}
-		}
-		if !found {
-			t.Fatalf("bootstrap row %d not from the source", i)
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for m = 0")
-		}
-	}()
-	d.Bootstrap(r, 0)
-}
-
 func TestStandardize(t *testing.T) {
 	r := randx.New(10)
 	d := Linear(r, LinearOpt{N: 5000, D: 3, Feature: randx.LogNormal{Mu: 0, Sigma: 1}})

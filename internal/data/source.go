@@ -144,8 +144,8 @@ func WStarOf(src Source) []float64 {
 }
 
 // MemSource serves chunks of an in-memory Dataset as zero-copy views —
-// the backend behind every Dataset-taking algorithm entry point, and
-// the reference the streamed backends must match bit for bit.
+// the one adapter through which in-memory data reaches the algorithms,
+// and the reference the streamed backends must match bit for bit.
 //
 // Chunk reuses one view header across calls (per the Source contract, a
 // chunk is valid only until the next Chunk call), so the per-iteration

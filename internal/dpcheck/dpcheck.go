@@ -5,8 +5,12 @@
 // auditing is one-sided — but it reliably catches calibration bugs such
 // as an undersized sensitivity, a wrong noise scale, or a forgotten
 // composition factor, which are exactly the failure modes of hand-built
-// DP code. The core package's test suite audits every mechanism and
-// every paper algorithm's per-iteration release through this harness.
+// DP code. Today only one release goes through this harness: the core
+// package's TestFrankWolfePrivacyAudit audits Algorithm 1's vertex
+// selection, and TestFrankWolfeAuditCatchesUndersizedScale is its
+// negative control. Auditing the other algorithms and both DPSGD
+// accountants is open work: ROADMAP.md, item 5, "A privacy audit for
+// every algorithm and accountant".
 package dpcheck
 
 import (

@@ -63,7 +63,7 @@ func dpsgdSpec() Spec {
 					return 0, err
 				}
 				defer src.Close()
-				w, err := core.DPSGDSource(src, core.DPSGDOptions{
+				w, err := core.DPSGD(src, core.DPSGDOptions{
 					Loss: loss.Squared{}, Eps: eps, Delta: deltaFor(src.N()),
 					T: 60, Batch: batch, Accountant: acct, Rng: r.Split(),
 				})

@@ -46,21 +46,26 @@ func fwFigure(id, desc string, logistic bool, feature, noise randx.Dist, paperN 
 	// Reference: the planted w* minimizes the squared risk, but NOT the
 	// logistic risk (any up-scaling of w* lowers it), so classification
 	// figures compare against a per-trial non-private FW optimum.
-	reference := func(ds *data.Dataset) []float64 {
-		if !logistic {
-			return ds.WStar
+	excess := func(w []float64, ds *data.Dataset) (float64, error) {
+		ref := ds.WStar
+		if logistic {
+			var err error
+			ref, err = core.NonprivateFW(data.NewMemSource(ds), l, polytope.NewL1Ball(ds.D(), 1), 80, nil)
+			if err != nil {
+				return 0, err
+			}
 		}
-		return core.NonprivateFW(ds, l, polytope.NewL1Ball(ds.D(), 1), 80, nil)
+		return loss.ExcessRisk(l, w, ref, ds.X, ds.Y), nil
 	}
 	trial := func(r *randx.RNG, n, d int, eps float64) (float64, error) {
 		ds := genPolytopeData(r, n, d, feature, noise, logistic)
-		w, err := core.FrankWolfe(ds, core.FWOptions{
+		w, err := core.FrankWolfe(data.NewMemSource(ds), core.FWOptions{
 			Loss: l, Domain: polytope.NewL1Ball(d, 1), Eps: eps, Rng: r.Split(),
 		})
 		if err != nil {
 			return 0, err
 		}
-		return loss.ExcessRisk(l, w, reference(ds), ds.X, ds.Y), nil
+		return excess(w, ds)
 	}
 	return Spec{
 		ID:          id,
@@ -109,8 +114,11 @@ func fwFigure(id, desc string, logistic bool, feature, noise randx.Dist, paperN 
 			})
 			addSeries(&pc, &err, cfg, "non-private", ns, 300, func(_ *trialCtx, r *randx.RNG, n float64) (float64, error) {
 				ds := genPolytopeData(r, int(n), 400, feature, noise, logistic)
-				w := core.NonprivateFW(ds, l, polytope.NewL1Ball(400, 1), 150, nil)
-				return loss.ExcessRisk(l, w, reference(ds), ds.X, ds.Y), nil
+				w, err := core.NonprivateFW(data.NewMemSource(ds), l, polytope.NewL1Ball(400, 1), 150, nil)
+				if err != nil {
+					return 0, err
+				}
+				return excess(w, ds)
 			})
 			if err != nil {
 				return nil, err
@@ -127,7 +135,7 @@ func lassoFigure(id, desc string, feature randx.Dist, paperN int) Spec {
 	noise := randx.Normal{Mu: 0, Sigma: math.Sqrt(0.1)}
 	trial := func(r *randx.RNG, n, d int, eps float64) (float64, error) {
 		ds := data.Linear(r, data.LinearOpt{N: n, D: d, Feature: feature, Noise: noise})
-		w, err := core.Lasso(ds, core.LassoOptions{
+		w, err := core.Lasso(data.NewMemSource(ds), core.LassoOptions{
 			Eps: eps, Delta: deltaFor(n), Rng: r.Split(),
 		})
 		if err != nil {
@@ -180,7 +188,10 @@ func lassoFigure(id, desc string, feature randx.Dist, paperN int) Spec {
 			})
 			addSeries(&pc, &err, cfg, "non-private", ns, 300, func(_ *trialCtx, r *randx.RNG, n float64) (float64, error) {
 				ds := data.Linear(r, data.LinearOpt{N: int(n), D: 200, Feature: feature, Noise: noise})
-				w := core.NonprivateFW(ds, loss.Squared{}, polytope.NewL1Ball(200, 1), 100, nil)
+				w, err := core.NonprivateFW(data.NewMemSource(ds), loss.Squared{}, polytope.NewL1Ball(200, 1), 100, nil)
+				if err != nil {
+					return 0, err
+				}
 				return excessVsWStar(loss.Squared{}, w, ds), nil
 			})
 			if err != nil {
@@ -210,7 +221,7 @@ func ihtFigure(id, desc string, noise randx.Dist, paperN int) Spec {
 	trial := func(r *randx.RNG, n, d, sStar int, eps float64) (float64, error) {
 		w := vecmath.Scale(data.SparseWStar(r, d, sStar), 0.5)
 		ds := data.Linear(r, data.LinearOpt{N: n, D: d, Feature: feature, Noise: noise, WStar: w})
-		got, err := core.SparseLinReg(ds, core.SparseLinRegOptions{
+		got, err := core.SparseLinReg(data.NewMemSource(ds), core.SparseLinRegOptions{
 			Eps: eps, Delta: deltaFor(n), SStar: sStar, S: sStar + 2,
 			Eta0: 0.05, T: 3, Rng: r.Split(),
 		})
@@ -281,7 +292,7 @@ func sparseOptFigure(id, desc string, feature, noise randx.Dist, paperN int) Spe
 	trial := func(r *randx.RNG, n, d, sStar int, eps float64) (float64, error) {
 		w := data.SparseWStar(r, d, sStar)
 		ds := data.LogisticModel(r, data.LogisticOpt{N: n, D: d, Feature: feature, Noise: noise, WStar: w})
-		got, err := core.SparseOpt(ds, core.SparseOptOptions{
+		got, err := core.SparseOpt(data.NewMemSource(ds), core.SparseOptOptions{
 			Loss: l, Eps: eps, Delta: deltaFor(n), SStar: sStar, Rng: r.Split(),
 		})
 		if err != nil {
@@ -370,7 +381,10 @@ func realFigure(id, desc string, names []string, logistic bool) Spec {
 				ds := data.SimulatedReal(randx.New(777+int64(pi)), spec, cfg.Scale*0.1)
 				data.Standardize(ds)
 				dom := polytope.NewL1Ball(ds.D(), 1)
-				ref := core.NonprivateFW(ds, l, dom, 150, nil)
+				ref, err := core.NonprivateFW(data.NewMemSource(ds), l, dom, 150, nil)
+				if err != nil {
+					return nil, err
+				}
 				refRisk := loss.Empirical(l, ref, ds.X, ds.Y)
 				p := Panel{Figure: id, Name: string(rune('a' + pi)),
 					XLabel: "eps", YLabel: "excess risk",
@@ -380,7 +394,7 @@ func realFigure(id, desc string, names []string, logistic bool) Spec {
 					frac := frac
 					addSeries(&p, &serr, cfg, fmt.Sprintf("n=%.0f%%", frac*100), epsGrid, int64(pi*10+si), func(_ *trialCtx, r *randx.RNG, eps float64) (float64, error) {
 						sub := ds.Subset(0, int(frac*float64(ds.N())))
-						w, err := core.FrankWolfe(sub, core.FWOptions{
+						w, err := core.FrankWolfe(data.NewMemSource(sub), core.FWOptions{
 							Loss: l, Domain: dom, Eps: eps, Rng: r,
 						})
 						if err != nil {

@@ -77,7 +77,7 @@ func streamingSpec() Spec {
 				Title: fmt.Sprintf("out-of-core chunks via %s, default n=%d, d=%d", backend, n, d)}
 			addSeries(&p, &err, cfg, "dpfw-stream", epsGrid, 0, func(tc *trialCtx, r *randx.RNG, eps float64) (float64, error) {
 				return trial(tc, r, func(src data.Source, rng *randx.RNG) ([]float64, error) {
-					return core.FrankWolfeSource(src, core.FWOptions{
+					return core.FrankWolfe(src, core.FWOptions{
 						Loss: loss.Squared{}, Domain: polytope.NewL1Ball(src.D(), 1),
 						Eps: eps, Rng: rng,
 					})
@@ -85,7 +85,7 @@ func streamingSpec() Spec {
 			})
 			addSeries(&p, &err, cfg, "lasso-stream", epsGrid, 1, func(tc *trialCtx, r *randx.RNG, eps float64) (float64, error) {
 				return trial(tc, r, func(src data.Source, rng *randx.RNG) ([]float64, error) {
-					return core.LassoSource(src, core.LassoOptions{
+					return core.Lasso(src, core.LassoOptions{
 						Eps: eps, Delta: deltaFor(src.N()), Rng: rng,
 					})
 				})

@@ -119,28 +119,6 @@ func GeometricMedian(rows [][]float64, maxIter int, tol float64) []float64 {
 	return m
 }
 
-// MoMGeometricMedian is Minsker's heavy-tailed vector mean estimator:
-// split into k blocks, average each, return the geometric median of the
-// block means.
-func MoMGeometricMedian(rows [][]float64, k int) []float64 {
-	n := len(rows)
-	if k < 1 || k > n {
-		panic("robust: MoMGeometricMedian k outside [1, n]")
-	}
-	d := len(rows[0])
-	means := make([][]float64, k)
-	for b := 0; b < k; b++ {
-		lo, hi := b*n/k, (b+1)*n/k
-		mb := make([]float64, d)
-		for _, r := range rows[lo:hi] {
-			vecmath.Axpy(1, r, mb)
-		}
-		vecmath.Scale(mb, 1/float64(hi-lo))
-		means[b] = mb
-	}
-	return GeometricMedian(means, 200, 1e-10)
-}
-
 // SecondMomentUpperBound estimates an upper bound on E[x²] from data by
 // median-of-means over the squared samples inflated by the given factor
 // (≥ 1). The paper assumes the moment bound τ is known (a stated

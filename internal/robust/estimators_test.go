@@ -132,31 +132,6 @@ func TestGeometricMedianRobustToOutlier(t *testing.T) {
 	}
 }
 
-func TestMoMGeometricMedian(t *testing.T) {
-	// Heavy-tailed vector samples with known mean.
-	r := randx.New(4)
-	noise := randx.Shifted{Base: randx.LogNormal{Mu: 0, Sigma: 1}}
-	truth := []float64{1, -2, 0.5}
-	n := 4001
-	rows := make([][]float64, n)
-	for i := range rows {
-		rows[i] = make([]float64, 3)
-		for j := range rows[i] {
-			rows[i][j] = truth[j] + noise.Sample(r)
-		}
-	}
-	m := MoMGeometricMedian(rows, 41)
-	if vecmath.Dist2(m, truth) > 0.25 {
-		t.Fatalf("MoM geometric median = %v, want ≈%v", m, truth)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on k > n")
-		}
-	}()
-	MoMGeometricMedian(rows[:2], 3)
-}
-
 func TestSecondMomentUpperBound(t *testing.T) {
 	// On N(0, 2²): E x² = 4; the MoM estimate ×1.5 must cover it without
 	// wild overshoot.

@@ -302,24 +302,3 @@ func MedianOfMeans(xs []float64, k int) float64 {
 	}
 	return (means[m-1] + means[m]) / 2
 }
-
-// TrimmedMean removes the frac·n smallest and largest samples and
-// averages the rest. frac must lie in [0, 0.5).
-func TrimmedMean(xs []float64, frac float64) float64 {
-	if frac < 0 || frac >= 0.5 {
-		panic("robust: TrimmedMean frac outside [0, 0.5)")
-	}
-	if len(xs) == 0 {
-		return 0
-	}
-	c := make([]float64, len(xs))
-	copy(c, xs)
-	sort.Float64s(c)
-	cut := int(frac * float64(len(c)))
-	kept := c[cut : len(c)-cut]
-	var s float64
-	for _, x := range kept {
-		s += x
-	}
-	return s / float64(len(kept))
-}

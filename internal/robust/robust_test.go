@@ -362,25 +362,6 @@ func TestMedianOfMeans(t *testing.T) {
 	MedianOfMeans([]float64{1}, 2)
 }
 
-func TestTrimmedMean(t *testing.T) {
-	xs := []float64{0, 1, 2, 3, 1e9}
-	if got := TrimmedMean(xs, 0.2); got != 2 {
-		t.Errorf("TrimmedMean = %v, want 2", got)
-	}
-	if got := TrimmedMean(xs, 0); got < 1e8 {
-		t.Errorf("untrimmed mean = %v, should include outlier", got)
-	}
-	if TrimmedMean(nil, 0.1) != 0 {
-		t.Error("empty TrimmedMean should be 0")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for frac ≥ 0.5")
-		}
-	}()
-	TrimmedMean(xs, 0.5)
-}
-
 func TestMoMRobustOnCauchy(t *testing.T) {
 	// Median-of-means on symmetric Cauchy data stays near 0 while the
 	// empirical mean wanders.

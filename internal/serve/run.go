@@ -184,26 +184,26 @@ func ExecuteRun(ctx context.Context, src data.Source, q RunRequest) (*RunResult,
 	var w []float64
 	switch q.Algo {
 	case "fw":
-		w, err = core.FrankWolfeSource(src, core.FWOptions{
+		w, err = core.FrankWolfe(src, core.FWOptions{
 			Loss: loss.Squared{}, Domain: polytope.NewL1Ball(d, 1),
 			Eps: q.Eps, T: q.T, Parallelism: par, Rng: rng,
 		})
 	case "lasso":
-		w, err = core.LassoSource(src, core.LassoOptions{
+		w, err = core.Lasso(src, core.LassoOptions{
 			Eps: q.Eps, Delta: delta, T: q.T, Parallelism: par, Rng: rng,
 		})
 	case "iht":
-		w, err = core.SparseLinRegSource(src, core.SparseLinRegOptions{
+		w, err = core.SparseLinReg(src, core.SparseLinRegOptions{
 			Eps: q.Eps, Delta: delta, SStar: q.SStar, T: q.T,
 			Parallelism: par, Rng: rng,
 		})
 	case "sparseopt":
-		w, err = core.SparseOptSource(src, core.SparseOptOptions{
+		w, err = core.SparseOpt(src, core.SparseOptOptions{
 			Loss: loss.Squared{}, Eps: q.Eps, Delta: delta, SStar: q.SStar, T: q.T,
 			Parallelism: par, Rng: rng,
 		})
 	case "dpsgd":
-		w, err = core.DPSGDSource(src, core.DPSGDOptions{
+		w, err = core.DPSGD(src, core.DPSGDOptions{
 			Loss: loss.Squared{}, Eps: q.Eps, Delta: delta, T: q.T,
 			Batch: q.Batch, Clip: q.Clip, LR: q.LR, Accountant: q.Accountant,
 			Parallelism: par, Rng: rng,

@@ -45,33 +45,6 @@ func (m *Mat) MatTVecP(dst, v []float64, workers int) []float64 {
 	})
 }
 
-// GramP is the blocked parallel Gram kernel (1/n)·XᵀX: row shards
-// accumulate partial d×d second-moment matrices that are merged in
-// shard order. Bit-identical for every worker count.
-func (m *Mat) GramP(workers int) *Mat {
-	d := m.Cols
-	g := NewMat(d, d)
-	parallel.ReduceVec(workers, m.Rows, g.Data, func(acc []float64, _, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			r := m.Row(i)
-			for a := 0; a < d; a++ {
-				ra := r[a]
-				if ra == 0 {
-					continue
-				}
-				row := acc[a*d : (a+1)*d]
-				for b, rb := range r {
-					row[b] += ra * rb
-				}
-			}
-		}
-	})
-	if m.Rows > 0 {
-		Scale(g.Data, 1/float64(m.Rows))
-	}
-	return g
-}
-
 // ColMomentsP returns per-column Welford moment accumulators over the
 // rows of m: shard-local OnlineMoments streams merged in shard order
 // with the pairwise Chan et al. update. The merge tree is fixed by the

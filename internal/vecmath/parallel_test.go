@@ -54,25 +54,6 @@ func TestMatTVecPDeterministicAndClose(t *testing.T) {
 	}
 }
 
-func TestGramPMatchesGram(t *testing.T) {
-	m := randMat(5, 200, 21)
-	ref := m.Gram()
-	base := m.GramP(1)
-	for i := range ref.Data {
-		if math.Abs(base.Data[i]-ref.Data[i]) > 1e-9*(1+math.Abs(ref.Data[i])) {
-			t.Fatalf("entry %d: blocked %v vs sequential %v", i, base.Data[i], ref.Data[i])
-		}
-	}
-	for _, w := range workerSweep[1:] {
-		got := m.GramP(w)
-		for i := range base.Data {
-			if got.Data[i] != base.Data[i] {
-				t.Fatalf("workers=%d: entry %d differs", w, i)
-			}
-		}
-	}
-}
-
 func TestColMomentsP(t *testing.T) {
 	m := randMat(7, 400, 9)
 	base := ColMomentsP(m, 1)

@@ -3,7 +3,7 @@ package vecmath
 import "htdp/internal/parallel"
 
 // MatWorkspace is the reusable iteration scratch of the blocked dense
-// kernels. The allocating entry points (MatVecP, MatTVecP, GramP) cost
+// kernels. The allocating entry points (MatVecP, MatTVecP) cost
 // two kinds of per-call garbage on a hot loop: the per-shard partial
 // accumulators of the reduction kernels, and the loop-body closure that
 // escapes into the worker pool. A workspace owns both — partials live
@@ -24,7 +24,6 @@ type MatWorkspace struct {
 
 	matvecBody  func(shard, lo, hi int)
 	mattvecBody func(shard, lo, hi int)
-	gramBody    func(shard, lo, hi int)
 }
 
 // MatVec computes dst = M·v like (*Mat).MatVecP, bit-identically,
@@ -82,51 +81,4 @@ func (ws *MatWorkspace) MatTVec(dst []float64, m *Mat, v []float64, workers int)
 	ws.red.Merge(dst)
 	ws.m, ws.v = nil, nil
 	return dst
-}
-
-// Gram computes the d×d second-moment matrix (1/n)·XᵀX of m into g
-// like (*Mat).GramP, bit-identically. g is allocated when nil; its
-// shape must be d×d otherwise.
-func (ws *MatWorkspace) Gram(g *Mat, m *Mat, workers int) *Mat {
-	d := m.Cols
-	if g == nil {
-		g = NewMat(d, d)
-	}
-	if g.Rows != d || g.Cols != d {
-		panic("vecmath: Gram destination shape mismatch")
-	}
-	if m.Rows == 0 {
-		Zero(g.Data)
-		return g
-	}
-	ws.red.Setup(parallel.NumShards(m.Rows), g.Data)
-	ws.m = m
-	if ws.gramBody == nil {
-		ws.gramBody = func(shard, lo, hi int) {
-			m := ws.m
-			d := m.Cols
-			acc := ws.red.Accs()[shard]
-			if shard > 0 {
-				Zero(acc)
-			}
-			for i := lo; i < hi; i++ {
-				r := m.Row(i)
-				for a := 0; a < d; a++ {
-					ra := r[a]
-					if ra == 0 {
-						continue
-					}
-					row := acc[a*d : (a+1)*d]
-					for b, rb := range r {
-						row[b] += ra * rb
-					}
-				}
-			}
-		}
-	}
-	parallel.For(workers, m.Rows, ws.gramBody)
-	ws.red.Merge(g.Data)
-	Scale(g.Data, 1/float64(m.Rows))
-	ws.m = nil
-	return g
 }

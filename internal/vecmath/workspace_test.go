@@ -32,13 +32,6 @@ func TestMatWorkspaceBitIdentical(t *testing.T) {
 					t.Fatalf("MatTVec %dx%d w=%d: col %d = %v want %v", sh.r, sh.c, w, i, gotT[i], wantT[i])
 				}
 			}
-			gotG := ws.Gram(nil, m, w)
-			wantG := m.GramP(w)
-			for i := range wantG.Data {
-				if gotG.Data[i] != wantG.Data[i] {
-					t.Fatalf("Gram %dx%d w=%d: entry %d = %v want %v", sh.r, sh.c, w, i, gotG.Data[i], wantG.Data[i])
-				}
-			}
 		}
 	}
 }
@@ -52,18 +45,13 @@ func TestMatWorkspaceZeroAllocs(t *testing.T) {
 	u := rng.NormalVec(make([]float64, 300), 1)
 	dstR := make([]float64, 300)
 	dstC := make([]float64, 200)
-	g := NewMat(200, 200)
 	var ws MatWorkspace
 	ws.MatVec(dstR, m, v, 1)
 	ws.MatTVec(dstC, m, u, 1)
-	ws.Gram(g, m, 1)
 	if allocs := testing.AllocsPerRun(10, func() { ws.MatVec(dstR, m, v, 1) }); allocs != 0 {
 		t.Errorf("MatVec allocates %v per call", allocs)
 	}
 	if allocs := testing.AllocsPerRun(10, func() { ws.MatTVec(dstC, m, u, 1) }); allocs != 0 {
 		t.Errorf("MatTVec allocates %v per call", allocs)
-	}
-	if allocs := testing.AllocsPerRun(10, func() { ws.Gram(g, m, 1) }); allocs != 0 {
-		t.Errorf("Gram allocates %v per call", allocs)
 	}
 }
