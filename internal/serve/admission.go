@@ -70,67 +70,3 @@ const (
 	throttleRate  = "rate_limited"   // token bucket empty → 429
 	throttleQuota = "quota_exceeded" // per-tenant queue quota reached → 429
 )
-
-// throttleKey labels one throttle counter cell.
-type throttleKey struct {
-	tenant, reason string
-}
-
-// tenantMetrics accumulates the per-tenant counters behind the
-// htdp_tenant_* series. Cardinality is bounded by the token table
-// (plus anonTenant), so the maps cannot grow with traffic.
-type tenantMetrics struct {
-	mu        sync.Mutex
-	requests  map[string]int64
-	throttled map[throttleKey]int64
-	cancelled map[string]int64 // jobs cancelled by quota/revocation enforcement
-}
-
-func newTenantMetrics() *tenantMetrics {
-	return &tenantMetrics{
-		requests:  make(map[string]int64),
-		throttled: make(map[throttleKey]int64),
-		cancelled: make(map[string]int64),
-	}
-}
-
-// request counts one authenticated request for the tenant.
-func (m *tenantMetrics) request(tenant string) {
-	m.mu.Lock()
-	m.requests[tenant]++
-	m.mu.Unlock()
-}
-
-// throttle counts one 429 for the tenant under the given reason.
-func (m *tenantMetrics) throttle(tenant, reason string) {
-	m.mu.Lock()
-	m.throttled[throttleKey{tenant, reason}]++
-	m.mu.Unlock()
-}
-
-// cancelledOverQuota counts n jobs cancelled out from under the tenant
-// by admission enforcement (token revocation via reload).
-func (m *tenantMetrics) cancelledOverQuota(tenant string, n int) {
-	m.mu.Lock()
-	m.cancelled[tenant] += int64(n)
-	m.mu.Unlock()
-}
-
-// snapshot copies the counters for one /metrics render.
-func (m *tenantMetrics) snapshot() (requests map[string]int64, throttled map[throttleKey]int64, cancelled map[string]int64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	requests = make(map[string]int64, len(m.requests))
-	for k, v := range m.requests {
-		requests[k] = v
-	}
-	throttled = make(map[throttleKey]int64, len(m.throttled))
-	for k, v := range m.throttled {
-		throttled[k] = v
-	}
-	cancelled = make(map[string]int64, len(m.cancelled))
-	for k, v := range m.cancelled {
-		cancelled[k] = v
-	}
-	return requests, throttled, cancelled
-}

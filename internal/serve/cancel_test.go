@@ -35,7 +35,7 @@ func waitClosed(t *testing.T, s *scheduler) {
 // completes within the drain window finishes normally and counts as
 // drained.
 func TestSchedulerCloseCancelsQueued(t *testing.T) {
-	s := newScheduler(1, 4, 0, 0, 0)
+	s := newScheduler(1, 4, 0, 0, 0, newMetrics())
 	started := make(chan struct{})
 	release := make(chan struct{})
 	j1, err := s.submit("run", "", anonTenant, 1, 0, func(ctx context.Context, _ *job) ([]byte, error) {
@@ -75,7 +75,7 @@ func TestSchedulerCloseCancelsQueued(t *testing.T) {
 	if st := j2.status(); st.Status != jobCancelled || !strings.Contains(st.Error, "shutdown") {
 		t.Fatalf("queued job landed in %+v, want cancelled by shutdown", st)
 	}
-	if drained, cancelled := s.shutdownCounts(); drained != 1 || cancelled != 1 {
+	if drained, cancelled := s.met.get(series{name: "htdp_shutdown_drained_total"}), s.met.get(series{name: "htdp_shutdown_cancelled_total"}); drained != 1 || cancelled != 1 {
 		t.Fatalf("shutdown counts = (%d drained, %d cancelled), want (1, 1)", drained, cancelled)
 	}
 }
@@ -84,7 +84,7 @@ func TestSchedulerCloseCancelsQueued(t *testing.T) {
 // already expired, close cancels running jobs immediately (cause:
 // shutdown) instead of waiting for them, and still never hangs wait().
 func TestSchedulerCloseForceCancelsPastDeadline(t *testing.T) {
-	s := newScheduler(1, 4, 0, 0, 0)
+	s := newScheduler(1, 4, 0, 0, 0, newMetrics())
 	started := make(chan struct{})
 	j1, err := s.submit("run", "", anonTenant, 1, 0, func(ctx context.Context, _ *job) ([]byte, error) {
 		close(started)
@@ -114,8 +114,32 @@ func TestSchedulerCloseForceCancelsPastDeadline(t *testing.T) {
 	if st := j2.status(); st.Status != jobCancelled {
 		t.Fatalf("queued job = %+v, want cancelled", st)
 	}
-	if drained, cancelled := s.shutdownCounts(); drained != 0 || cancelled != 2 {
+	if drained, cancelled := s.met.get(series{name: "htdp_shutdown_drained_total"}), s.met.get(series{name: "htdp_shutdown_cancelled_total"}); drained != 0 || cancelled != 2 {
 		t.Fatalf("shutdown counts = (%d drained, %d cancelled), want (0, 2)", drained, cancelled)
+	}
+}
+
+// TestCancelQueuedRace is the regression test for cancel's
+// queued-to-cancelled transition racing a worker's dispatch: submit and
+// cancel back to back, many times, on a one-worker scheduler. When
+// cancel reports the job cancelled outright (pending=false, nil error),
+// the job must really end cancelled — never run on to done behind a 200.
+func TestCancelQueuedRace(t *testing.T) {
+	s := newScheduler(1, 64, 0, 0, 0, newMetrics())
+	defer s.close(context.Background())
+	noop := func(context.Context, *job) ([]byte, error) { return []byte("x\n"), nil }
+	for i := 0; i < 20000; i++ {
+		j, err := s.submit("run", "", anonTenant, 1, 0, noop)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pending, err := s.cancel(j)
+		j.wait()
+		if err == nil && !pending {
+			if st := j.status(); st.Status != jobCancelled {
+				t.Fatalf("iteration %d: cancel answered (false, nil) but the job ended %q", i, st.Status)
+			}
+		}
 	}
 }
 
@@ -126,7 +150,7 @@ func TestSchedulerCloseForceCancelsPastDeadline(t *testing.T) {
 // deadline-exceeded (the 504 discriminator) — not cancelled, not a
 // plain failure.
 func TestSchedulerDeadlineExceeded(t *testing.T) {
-	s := newScheduler(1, 4, 0, 0, 0)
+	s := newScheduler(1, 4, 0, 0, 0, newMetrics())
 	defer s.close(context.Background())
 	s.timeoutCtx = func(parent context.Context, d time.Duration) (context.Context, context.CancelFunc) {
 		ctx, cancel := context.WithCancelCause(parent)

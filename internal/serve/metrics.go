@@ -1,167 +1,154 @@
 package serve
 
 import (
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 )
 
-// metrics holds the service counters exposed at GET /metrics in the
-// Prometheus text exposition format (no client library — the format is
-// plain text and the repo takes no dependencies). Everything is
-// monotonic counters plus latency sums, aggregated per normalized
-// route, so one scrape answers "how much traffic, how slow, how often
-// cached".
+// metrics is the service's one counter registry, exposed at GET
+// /metrics in the Prometheus text exposition format (no client library
+// — the format is plain text and the repo takes no dependencies). Every
+// counter — requests, latency, cache tiers, singleflight, job expiry,
+// shutdown, per-tenant — is one cell of one map under one mutex; the
+// store, scheduler and singleflight group record into it and keep no
+// counters of their own. Gauges are state, not counters: handleMetrics
+// reads them from their owners at scrape time into the scrape's copy,
+// and they render through the same loop.
 type metrics struct {
-	mu       sync.Mutex
-	requests map[routeCode]int64
-	latNs    map[string]int64
-	latCount map[string]int64
+	mu   sync.Mutex
+	vals map[series]int64
 }
 
-type routeCode struct {
-	route string
-	code  int
+// series identifies one registry cell: a family name, up to two label
+// values in the family's label order, and — for htdp_requests_total —
+// the status code, kept an int so recording a request builds no
+// string. sum marks a summary's _sum cell (nanoseconds), which sits
+// beside the _count cell of the same labels.
+type series struct {
+	name string
+	a, b string
+	code int
+	sum  bool
+}
+
+// families is the one list of what /metrics exposes, in exposition
+// order: adding a series is one row here plus one add call where the
+// event happens. OPERATIONS.md documents every series and its alerting
+// hints. Label cardinality is bounded everywhere: routes collapse to a
+// closed set, tenants come from the token table (plus "anonymous").
+var families = []struct {
+	name, typ string
+	labels    []string
+}{
+	{"htdp_requests_total", "counter", []string{"route", "code"}},
+	{"htdp_request_latency_seconds", "summary", []string{"route"}},
+	{"htdp_cache_hits_total", "counter", nil},
+	{"htdp_cache_disk_hits_total", "counter", nil},
+	{"htdp_cache_misses_total", "counter", nil},
+	{"htdp_cache_disk_errors_total", "counter", nil},
+	{"htdp_cache_entries", "gauge", nil},
+	{"htdp_cache_mem_bytes", "gauge", nil},
+	{"htdp_cache_disk_entries", "gauge", nil},
+	{"htdp_cache_disk_bytes", "gauge", nil},
+	{"htdp_singleflight_coalesced_total", "counter", nil},
+	{"htdp_jobs", "gauge", []string{"status"}},
+	{"htdp_jobs_expired_total", "counter", nil},
+	{"htdp_shutdown_drained_total", "counter", nil},
+	{"htdp_shutdown_cancelled_total", "counter", nil},
+	{"htdp_tenant_requests_total", "counter", []string{"tenant"}},
+	{"htdp_tenant_throttled_total", "counter", []string{"tenant", "reason"}},
+	{"htdp_tenant_cancelled_over_quota_total", "counter", []string{"tenant"}},
+	{"htdp_tenant_jobs", "gauge", []string{"tenant", "state"}},
+	{"htdp_pool_datasets", "gauge", nil},
 }
 
 func newMetrics() *metrics {
-	return &metrics{
-		requests: make(map[routeCode]int64),
-		latNs:    make(map[string]int64),
-		latCount: make(map[string]int64),
-	}
+	return &metrics{vals: make(map[series]int64)}
 }
 
-// observe records one served request.
-func (m *metrics) observe(route string, code int, dur time.Duration) {
+// add adds n to one counter.
+func (m *metrics) add(k series, n int64) {
+	m.mu.Lock()
+	m.vals[k] += n
+	m.mu.Unlock()
+}
+
+// get reads one counter.
+func (m *metrics) get(k series) int64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.requests[routeCode{route, code}]++
-	m.latNs[route] += dur.Nanoseconds()
-	m.latCount[route]++
+	return m.vals[k]
 }
 
-// tenantStats bundles the per-tenant series for one /metrics render:
-// cumulative requests, 429s by reason, enforcement cancellations, and
-// the current queued/running job gauges. Label cardinality is bounded
-// by the token table (plus "anonymous"), never by traffic.
-type tenantStats struct {
-	requests  map[string]int64
-	throttled map[throttleKey]int64
-	cancelled map[string]int64
-	queued    map[string]int
-	running   map[string]int
-}
-
-// write renders the exposition text. Lines are emitted in sorted label
-// order so scrapes are stable. OPERATIONS.md documents every series
-// and its alerting hints.
-func (m *metrics) write(w io.Writer, st storeStats, coalesced int64, jobs map[string]int, expired int64, datasets int, shutdownDrained, shutdownCancelled int64, tenants tenantStats) {
+// observe records one served request under one lock: its route/code
+// count, its latency, and — when it resolved to a tenant — the
+// tenant's request count. Once a series exists this allocates nothing.
+func (m *metrics) observe(route string, code int, dur time.Duration, tenant string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-
-	fmt.Fprintln(w, "# TYPE htdp_requests_total counter")
-	keys := make([]routeCode, 0, len(m.requests))
-	for k := range m.requests {
-		keys = append(keys, k)
+	m.vals[series{name: "htdp_requests_total", a: route, code: code}]++
+	m.vals[series{name: "htdp_request_latency_seconds", a: route}]++
+	m.vals[series{name: "htdp_request_latency_seconds", a: route, sum: true}] += dur.Nanoseconds()
+	if tenant != "" {
+		m.vals[series{name: "htdp_tenant_requests_total", a: tenant}]++
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].route != keys[j].route {
-			return keys[i].route < keys[j].route
-		}
-		return keys[i].code < keys[j].code
-	})
-	for _, k := range keys {
-		fmt.Fprintf(w, "htdp_requests_total{route=%q,code=\"%d\"} %d\n", k.route, k.code, m.requests[k])
-	}
-
-	fmt.Fprintln(w, "# TYPE htdp_request_latency_seconds summary")
-	routes := make([]string, 0, len(m.latCount))
-	for r := range m.latCount {
-		routes = append(routes, r)
-	}
-	sort.Strings(routes)
-	for _, r := range routes {
-		fmt.Fprintf(w, "htdp_request_latency_seconds_sum{route=%q} %g\n", r, float64(m.latNs[r])/1e9)
-		fmt.Fprintf(w, "htdp_request_latency_seconds_count{route=%q} %d\n", r, m.latCount[r])
-	}
-
-	fmt.Fprintln(w, "# TYPE htdp_cache_hits_total counter")
-	fmt.Fprintf(w, "htdp_cache_hits_total %d\n", st.Hits)
-	fmt.Fprintln(w, "# TYPE htdp_cache_disk_hits_total counter")
-	fmt.Fprintf(w, "htdp_cache_disk_hits_total %d\n", st.DiskHits)
-	fmt.Fprintln(w, "# TYPE htdp_cache_misses_total counter")
-	fmt.Fprintf(w, "htdp_cache_misses_total %d\n", st.Misses)
-	fmt.Fprintln(w, "# TYPE htdp_cache_disk_errors_total counter")
-	fmt.Fprintf(w, "htdp_cache_disk_errors_total %d\n", st.DiskErrs)
-	fmt.Fprintln(w, "# TYPE htdp_cache_entries gauge")
-	fmt.Fprintf(w, "htdp_cache_entries %d\n", st.MemEntries)
-	fmt.Fprintln(w, "# TYPE htdp_cache_mem_bytes gauge")
-	fmt.Fprintf(w, "htdp_cache_mem_bytes %d\n", st.MemBytes)
-	fmt.Fprintln(w, "# TYPE htdp_cache_disk_entries gauge")
-	fmt.Fprintf(w, "htdp_cache_disk_entries %d\n", st.DiskEntries)
-	fmt.Fprintln(w, "# TYPE htdp_cache_disk_bytes gauge")
-	fmt.Fprintf(w, "htdp_cache_disk_bytes %d\n", st.DiskBytes)
-
-	fmt.Fprintln(w, "# TYPE htdp_singleflight_coalesced_total counter")
-	fmt.Fprintf(w, "htdp_singleflight_coalesced_total %d\n", coalesced)
-
-	fmt.Fprintln(w, "# TYPE htdp_jobs gauge")
-	states := make([]string, 0, len(jobs))
-	for s := range jobs {
-		states = append(states, s)
-	}
-	sort.Strings(states)
-	for _, s := range states {
-		fmt.Fprintf(w, "htdp_jobs{status=%q} %d\n", s, jobs[s])
-	}
-	fmt.Fprintln(w, "# TYPE htdp_jobs_expired_total counter")
-	fmt.Fprintf(w, "htdp_jobs_expired_total %d\n", expired)
-	fmt.Fprintln(w, "# TYPE htdp_shutdown_drained_total counter")
-	fmt.Fprintf(w, "htdp_shutdown_drained_total %d\n", shutdownDrained)
-	fmt.Fprintln(w, "# TYPE htdp_shutdown_cancelled_total counter")
-	fmt.Fprintf(w, "htdp_shutdown_cancelled_total %d\n", shutdownCancelled)
-
-	fmt.Fprintln(w, "# TYPE htdp_tenant_requests_total counter")
-	for _, t := range sortedKeys(tenants.requests) {
-		fmt.Fprintf(w, "htdp_tenant_requests_total{tenant=%q} %d\n", t, tenants.requests[t])
-	}
-	fmt.Fprintln(w, "# TYPE htdp_tenant_throttled_total counter")
-	tkeys := make([]throttleKey, 0, len(tenants.throttled))
-	for k := range tenants.throttled {
-		tkeys = append(tkeys, k)
-	}
-	sort.Slice(tkeys, func(i, j int) bool {
-		if tkeys[i].tenant != tkeys[j].tenant {
-			return tkeys[i].tenant < tkeys[j].tenant
-		}
-		return tkeys[i].reason < tkeys[j].reason
-	})
-	for _, k := range tkeys {
-		fmt.Fprintf(w, "htdp_tenant_throttled_total{tenant=%q,reason=%q} %d\n", k.tenant, k.reason, tenants.throttled[k])
-	}
-	fmt.Fprintln(w, "# TYPE htdp_tenant_cancelled_over_quota_total counter")
-	for _, t := range sortedKeys(tenants.cancelled) {
-		fmt.Fprintf(w, "htdp_tenant_cancelled_over_quota_total{tenant=%q} %d\n", t, tenants.cancelled[t])
-	}
-	fmt.Fprintln(w, "# TYPE htdp_tenant_jobs gauge")
-	for _, t := range sortedKeys(tenants.queued) {
-		fmt.Fprintf(w, "htdp_tenant_jobs{tenant=%q,state=\"queued\"} %d\n", t, tenants.queued[t])
-		fmt.Fprintf(w, "htdp_tenant_jobs{tenant=%q,state=\"running\"} %d\n", t, tenants.running[t])
-	}
-
-	fmt.Fprintln(w, "# TYPE htdp_pool_datasets gauge")
-	fmt.Fprintf(w, "htdp_pool_datasets %d\n", datasets)
 }
 
-// sortedKeys returns a map's keys in sorted order for stable scrapes.
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
+// write merges every counter into g, the scrape's copy that already
+// holds the gauges, and renders it: per family its # TYPE line, then
+// its series sorted by label tuple (a family without labels prints 0
+// when nothing was recorded), so scrapes are stable.
+func (m *metrics) write(w io.Writer, g map[series]int64) {
+	m.mu.Lock()
+	for k, v := range m.vals {
+		g[k] = v
 	}
-	sort.Strings(keys)
-	return keys
+	m.mu.Unlock()
+	byName := make(map[string][]series)
+	for k := range g {
+		if !k.sum {
+			byName[k.name] = append(byName[k.name], k)
+		}
+	}
+	for _, fam := range families {
+		fmt.Fprintf(w, "# TYPE %s %s\n", fam.name, fam.typ)
+		if len(fam.labels) == 0 {
+			fmt.Fprintf(w, "%s %d\n", fam.name, g[series{name: fam.name}])
+			continue
+		}
+		keys := byName[fam.name]
+		slices.SortFunc(keys, func(x, y series) int {
+			return cmp.Or(strings.Compare(x.a, y.a), strings.Compare(x.b, y.b), cmp.Compare(x.code, y.code))
+		})
+		for _, k := range keys {
+			labels := k.render(fam.labels)
+			if fam.typ == "summary" {
+				sum := k
+				sum.sum = true
+				fmt.Fprintf(w, "%s_sum%s %g\n", fam.name, labels, float64(g[sum])/1e9)
+				fmt.Fprintf(w, "%s_count%s %d\n", fam.name, labels, g[k])
+				continue
+			}
+			fmt.Fprintf(w, "%s%s %d\n", fam.name, labels, g[k])
+		}
+	}
+}
+
+// render formats the series' label set, values %q-quoted.
+func (k series) render(names []string) string {
+	vals := [2]string{k.a, k.b}
+	if k.code != 0 {
+		vals[1] = strconv.Itoa(k.code)
+	}
+	pairs := make([]string, len(names))
+	for i, name := range names {
+		pairs[i] = fmt.Sprintf("%s=%q", name, vals[i])
+	}
+	return "{" + strings.Join(pairs, ",") + "}"
 }

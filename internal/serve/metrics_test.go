@@ -135,6 +135,17 @@ func TestMetricsExpositionGolden(t *testing.T) {
 	}
 }
 
+// scrape returns what one /metrics render sees: the owners' gauges
+// merged with every counter of the registry.
+func scrape(m *metrics, owners ...interface{ gauges(map[series]int64) }) map[series]int64 {
+	g := make(map[series]int64)
+	for _, o := range owners {
+		o.gauges(g)
+	}
+	m.write(io.Discard, g)
+	return g
+}
+
 // waitSchedulerIdle blocks until no job is queued or running: a worker
 // releases its tenant's running slot just after the job's waiters
 // unblock, so a gauge read right after wait() could still see it.
@@ -155,5 +166,17 @@ func waitSchedulerIdle(t *testing.T, s *scheduler) {
 			t.Fatal("scheduler never went idle")
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestObserveAllocs: recording one request into the registry — its
+// route/code count, latency and tenant — allocates nothing once the
+// series exist; the status code stays an int until render.
+func TestObserveAllocs(t *testing.T) {
+	m := newMetrics()
+	record := func() { m.observe("POST /v1/run", 200, time.Millisecond, "alice") }
+	record()
+	if n := testing.AllocsPerRun(1000, record); n != 0 {
+		t.Fatalf("recording one request allocates %v times, want 0", n)
 	}
 }

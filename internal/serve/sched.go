@@ -264,21 +264,20 @@ type scheduler struct {
 
 	// The fair-queueing state. queues holds the waiting jobs per
 	// tenant; rr is the round-robin rotation (tenants in first-seen
-	// order — bounded by the token table plus anonymous, so it never
-	// grows with traffic); credits is the deficit counter of the
-	// rotation's current position, refilled to the tenant's weight each
-	// time the cursor arrives. depth bounds the waiting total globally
+	// order — exactly the tenants with a weights entry, bounded by the
+	// token table plus anonymous, so it never grows with traffic);
+	// credits is the deficit counter of the rotation's current
+	// position, refilled to that tenant's weight each time the cursor
+	// arrives. depth bounds the waiting total globally
 	// (503 beyond it); tenantQueue bounds each tenant's share of it
 	// (429 beyond it); tenantJobs caps each tenant's concurrently
 	// running jobs at dispatch, letting a queued tenant wait without
 	// blocking anyone else's dispatch.
 	queues      map[string][]*job
 	rr          []string
-	inRR        map[string]bool
 	rrPos       int
-	credits     map[string]int
+	credits     int
 	weights     map[string]int
-	queuedN     map[string]int
 	runningN    map[string]int
 	queuedTotal int
 	depth       int
@@ -288,16 +287,15 @@ type scheduler struct {
 	// observes each dispatch's tenant in dispatch order.
 	testDispatch func(tenant string)
 
-	jobs    map[string]*job
-	order   []string // insertion order, for bounded retention
-	next    int
-	expired int64 // TTL evictions, for /metrics
-	closed  bool
-	// Shutdown accounting, for the htdp_shutdown_* metric pair: jobs
-	// that finished naturally during the drain window vs jobs the
-	// shutdown cancelled (queued jobs flushed, running jobs pre-empted).
-	shutdownDrained   int64
-	shutdownCancelled int64
+	// met counts TTL evictions and the shutdown outcome of every job
+	// in flight when close began: drained to a real result, or
+	// cancelled (queued jobs flushed, running jobs pre-empted).
+	met *metrics
+
+	jobs   map[string]*job
+	order  []string // insertion order, for bounded retention
+	next   int
+	closed bool
 	// earliestFinish is the oldest finishedAt among retained finished
 	// jobs (zero = none known). It lets evictExpiredLocked return in
 	// O(1) when nothing can have expired yet, instead of scanning the
@@ -315,16 +313,15 @@ const maxRetainedJobs = 1024
 // concurrently running jobs (0 = unlimited); tenantQueue caps one
 // tenant's waiting jobs inside the global depth bound (0 = bounded
 // only by depth). Both are fixed at construction — workers read them
-// without further coordination.
-func newScheduler(workers, depth int, ttl time.Duration, tenantJobs, tenantQueue int) *scheduler {
+// without further coordination. met is the registry the scheduler's
+// counters go to.
+func newScheduler(workers, depth int, ttl time.Duration, tenantJobs, tenantQueue int, met *metrics) *scheduler {
 	baseCtx, cancelBase := context.WithCancelCause(context.Background())
 	s := &scheduler{
 		queues:      make(map[string][]*job),
-		inRR:        make(map[string]bool),
-		credits:     make(map[string]int),
 		weights:     make(map[string]int),
-		queuedN:     make(map[string]int),
 		runningN:    make(map[string]int),
+		met:         met,
 		depth:       depth,
 		tenantJobs:  tenantJobs,
 		tenantQueue: tenantQueue,
@@ -385,16 +382,15 @@ func (s *scheduler) dispatchLocked() *job {
 			return nil
 		}
 		t := s.rr[s.rrPos]
-		if s.credits[t] > 0 && len(s.queues[t]) > 0 &&
+		if s.credits > 0 && len(s.queues[t]) > 0 &&
 			(s.tenantJobs <= 0 || s.runningN[t] < s.tenantJobs) {
 			q := s.queues[t]
 			j := q[0]
 			s.queues[t] = q[1:]
-			s.queuedN[t]--
 			s.queuedTotal--
 			s.runningN[t]++
-			s.credits[t]--
-			if s.credits[t] == 0 || len(s.queues[t]) == 0 {
+			s.credits--
+			if s.credits == 0 || len(s.queues[t]) == 0 {
 				s.advanceLocked()
 			}
 			if s.testDispatch != nil {
@@ -417,8 +413,7 @@ func (s *scheduler) advanceLocked() {
 	if s.rrPos >= len(s.rr) {
 		s.rrPos = 0
 	}
-	t := s.rr[s.rrPos]
-	s.credits[t] = s.weights[t]
+	s.credits = s.weights[s.rr[s.rrPos]]
 }
 
 // release returns a tenant's running slot after its job finished and
@@ -481,56 +476,69 @@ func (s *scheduler) runJob(j *job) {
 	if s.closed {
 		// This job was in flight when shutdown began; record whether it
 		// drained to a real result or was cut short.
-		if st := j.status().Status; st == jobCancelled {
-			s.shutdownCancelled++
-		} else {
-			s.shutdownDrained++
+		outcome := "htdp_shutdown_drained_total"
+		if j.status().Status == jobCancelled {
+			outcome = "htdp_shutdown_cancelled_total"
 		}
+		s.met.add(series{name: outcome}, 1)
 	}
 	s.mu.Unlock()
 }
 
 // finishCancelled lands a not-yet-running job in the cancelled state
-// (no-op if it already left the queued state) and counts it against the
-// shutdown if one is in progress.
-func (s *scheduler) finishCancelled(j *job, cause error) {
+// and counts it against the shutdown if one is in progress. It reports
+// whether the transition landed: false when the job already left the
+// queued state (a worker started it, or it finished).
+func (s *scheduler) finishCancelled(j *job, cause error) bool {
 	finishedAt := s.now()
 	j.mu.Lock()
 	if j.state != jobQueued {
 		j.mu.Unlock()
-		return
+		return false
 	}
 	j.state = jobCancelled
 	j.errMsg = cause.Error()
 	j.finishedAt = finishedAt
 	j.mu.Unlock()
 	close(j.done)
-	// s.mu strictly after j.mu is released: counts() nests the locks
+	// s.mu strictly after j.mu is released: gauges() nests the locks
 	// the other way around (s.mu, then each j.mu).
 	s.mu.Lock()
 	s.noteFinishedLocked(finishedAt)
 	if s.closed {
-		s.shutdownCancelled++
+		s.met.add(series{name: "htdp_shutdown_cancelled_total"}, 1)
 	}
 	s.mu.Unlock()
+	return true
 }
 
-// removeQueued takes a still-waiting job out of its tenant's queue, so
-// an eagerly-cancelled job frees its quota slot immediately instead of
-// occupying it until a worker skips it. No-op when a worker already
-// claimed the job.
-func (s *scheduler) removeQueued(j *job) {
+// cancelQueued takes every waiting job that match selects out of the
+// tenant queues — freeing its quota slot at once instead of when a
+// worker would skip it — and lands each in cancelled with cause. It
+// returns how many landed.
+func (s *scheduler) cancelQueued(match func(*job) bool, cause error) int {
+	var taken []*job
 	s.mu.Lock()
-	q := s.queues[j.tenant]
-	for i, cand := range q {
-		if cand == j {
-			s.queues[j.tenant] = append(q[:i], q[i+1:]...)
-			s.queuedN[j.tenant]--
-			s.queuedTotal--
-			break
+	for t, q := range s.queues {
+		kept := q[:0]
+		for _, j := range q {
+			if match(j) {
+				taken = append(taken, j)
+			} else {
+				kept = append(kept, j)
+			}
+		}
+		s.queues[t] = kept
+	}
+	s.queuedTotal -= len(taken)
+	s.mu.Unlock()
+	landed := 0
+	for _, j := range taken {
+		if s.finishCancelled(j, cause) {
+			landed++
 		}
 	}
-	s.mu.Unlock()
+	return landed
 }
 
 // noteFinishedLocked records a job completion time for the expiry
@@ -566,7 +574,7 @@ func (s *scheduler) evictExpiredLocked() {
 		j.mu.Unlock()
 		if finished && finishedAt.Before(cutoff) {
 			delete(s.jobs, id)
-			s.expired++
+			s.met.add(series{name: "htdp_jobs_expired_total"}, 1)
 			continue
 		}
 		if finished && (earliest.IsZero() || finishedAt.Before(earliest)) {
@@ -617,17 +625,15 @@ func (s *scheduler) enqueueLocked(j *job, weight int) {
 	if weight < 1 {
 		weight = 1
 	}
-	s.weights[t] = weight
-	if !s.inRR[t] {
-		s.inRR[t] = true
+	if _, seen := s.weights[t]; !seen {
 		s.rr = append(s.rr, t)
 		if len(s.rr) == 1 {
 			s.rrPos = 0
-			s.credits[t] = weight
+			s.credits = weight
 		}
 	}
+	s.weights[t] = weight
 	s.queues[t] = append(s.queues[t], j)
-	s.queuedN[t]++
 	s.queuedTotal++
 }
 
@@ -654,7 +660,7 @@ func (s *scheduler) submit(kind, key, tenant string, weight int, timeout time.Du
 		s.mu.Unlock()
 		return nil, errQueueFull
 	}
-	if s.tenantQueue > 0 && s.queuedN[tenant] >= s.tenantQueue {
+	if s.tenantQueue > 0 && len(s.queues[tenant]) >= s.tenantQueue {
 		s.mu.Unlock()
 		return nil, errTenantQueueFull
 	}
@@ -689,24 +695,25 @@ func (s *scheduler) completed(kind, tenant string, result []byte) (*job, error) 
 // job has its context cancelled and lands in cancelled when the worker
 // observes it — bounded by the computation's chunk/point granularity,
 // never a hard kill — in which case cancel reports pending=true.
-// Finished jobs return errNotCancellable.
+// Finished jobs return errNotCancellable. pending=false with a nil error
+// only ever means the job landed in cancelled: a worker that starts the
+// job first sends cancel down the running path instead.
 func (s *scheduler) cancel(j *job) (pending bool, err error) {
-	j.mu.Lock()
-	switch j.state {
-	case jobQueued:
-		j.mu.Unlock()
-		s.removeQueued(j)
-		s.finishCancelled(j, errors.New("cancelled before running"))
+	cause := errors.New("cancelled before running")
+	// A job a worker already claimed has left the queue but may not
+	// have started: finishCancelled still lands it, and the worker then
+	// skips it.
+	if s.cancelQueued(func(c *job) bool { return c == j }, cause) > 0 || s.finishCancelled(j, cause) {
 		return false, nil
-	case jobRunning:
-		cancelFn := j.cancel // non-nil exactly while running
-		j.mu.Unlock()
-		cancelFn(errCancelledByDelete)
-		return true, nil
-	default:
-		j.mu.Unlock()
+	}
+	j.mu.Lock()
+	cancelFn := j.cancel // non-nil exactly while running
+	j.mu.Unlock()
+	if cancelFn == nil {
 		return false, errNotCancellable
 	}
+	cancelFn(errCancelledByDelete)
+	return true, nil
 }
 
 // cancelTenant cancels every queued and running job a tenant owns —
@@ -717,13 +724,8 @@ func (s *scheduler) cancel(j *job) (pending bool, err error) {
 // synchronously; running ones land there when their computation
 // observes the context).
 func (s *scheduler) cancelTenant(tenant string, cause error) int {
+	queued := s.cancelQueued(func(j *job) bool { return j.tenant == tenant }, cause)
 	s.mu.Lock()
-	queued := s.queues[tenant]
-	if len(queued) > 0 {
-		s.queuedTotal -= len(queued)
-		s.queuedN[tenant] -= len(queued)
-		s.queues[tenant] = nil
-	}
 	var cancels []context.CancelCauseFunc
 	for _, j := range s.jobs {
 		if j.tenant != tenant {
@@ -736,13 +738,10 @@ func (s *scheduler) cancelTenant(tenant string, cause error) int {
 		j.mu.Unlock()
 	}
 	s.mu.Unlock()
-	for _, j := range queued {
-		s.finishCancelled(j, cause)
-	}
 	for _, cancelFn := range cancels {
 		cancelFn(cause)
 	}
-	return len(queued) + len(cancels)
+	return queued + len(cancels)
 }
 
 // get looks a job up by id (expired jobs are evicted first, so a
@@ -755,43 +754,26 @@ func (s *scheduler) get(id string) (*job, bool) {
 	return j, ok
 }
 
-// counts returns the number of retained jobs per state plus the
-// cumulative TTL-expiry count, for /metrics.
-func (s *scheduler) counts() (states map[string]int, expired int64) {
+// gauges evicts expired jobs, then writes into a scrape's copy of the
+// registry the retained jobs per state (every state, zeros included)
+// and each seen tenant's waiting and running job counts — cardinality
+// bounded by the token table.
+func (s *scheduler) gauges(g map[series]int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.evictExpiredLocked()
-	out := map[string]int{jobQueued: 0, jobRunning: 0, jobDone: 0, jobFailed: 0, jobCancelled: 0}
+	for _, st := range []string{jobQueued, jobRunning, jobDone, jobFailed, jobCancelled} {
+		g[series{name: "htdp_jobs", a: st}] = 0
+	}
 	for _, j := range s.jobs {
 		j.mu.Lock()
-		out[j.state]++
+		g[series{name: "htdp_jobs", a: j.state}]++
 		j.mu.Unlock()
 	}
-	return out, s.expired
-}
-
-// tenantCounts returns each tenant's waiting and running job counts,
-// for the htdp_tenant_jobs{tenant,state} gauges. Only tenants the
-// scheduler has seen appear; cardinality is bounded by the token
-// table.
-func (s *scheduler) tenantCounts() (queued, running map[string]int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	queued = make(map[string]int, len(s.rr))
-	running = make(map[string]int, len(s.rr))
 	for _, t := range s.rr {
-		queued[t] = s.queuedN[t]
-		running[t] = s.runningN[t]
+		g[series{name: "htdp_tenant_jobs", a: t, b: jobQueued}] = int64(len(s.queues[t]))
+		g[series{name: "htdp_tenant_jobs", a: t, b: jobRunning}] = int64(s.runningN[t])
 	}
-	return queued, running
-}
-
-// shutdownCounts returns the drained/cancelled tallies of a shutdown in
-// progress (or completed), for /metrics and the cmd-layer drain log.
-func (s *scheduler) shutdownCounts() (drained, cancelled int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.shutdownDrained, s.shutdownCancelled
 }
 
 // close stops accepting work and shuts the pool down. Semantics, which
@@ -807,8 +789,9 @@ func (s *scheduler) shutdownCounts() (drained, cancelled int64) {
 //
 // close(context.Background()) therefore drains running jobs fully and
 // is what Server.Close uses; cmd/htdp passes a -draintimeout-bounded
-// context on SIGTERM. Idempotent; the queues are flushed under s.mu,
-// serialized against submit's enqueue.
+// context on SIGTERM. Idempotent; once closed is set under s.mu no
+// submit can enqueue, so the flush that follows sees every waiting job
+// (one a worker claims first lands cancelled in runJob instead).
 func (s *scheduler) close(ctx context.Context) {
 	s.mu.Lock()
 	if s.closed {
@@ -817,17 +800,8 @@ func (s *scheduler) close(ctx context.Context) {
 		return
 	}
 	s.closed = true
-	var flushed []*job
-	for t, q := range s.queues {
-		flushed = append(flushed, q...)
-		s.queuedTotal -= len(q)
-		s.queuedN[t] -= len(q)
-		s.queues[t] = nil
-	}
 	s.mu.Unlock()
-	for _, j := range flushed {
-		s.finishCancelled(j, errShuttingDown)
-	}
+	s.cancelQueued(func(*job) bool { return true }, errShuttingDown)
 	s.cond.Broadcast()
 	done := make(chan struct{})
 	go func() {

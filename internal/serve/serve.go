@@ -153,7 +153,6 @@ type Server struct {
 	met     *metrics
 	auth    *auth
 	limiter *limiter
-	tmet    *tenantMetrics
 	mux     *http.ServeMux
 	opt     Options
 	logMu   sync.Mutex // serializes Options.AccessLog writes
@@ -181,19 +180,19 @@ func New(pool *data.SourcePool, opt Options) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	st, err := newStore(opt.MemCacheBytes, opt.CacheDir, opt.DiskCacheBytes)
+	met := newMetrics()
+	st, err := newStore(opt.MemCacheBytes, opt.CacheDir, opt.DiskCacheBytes, met)
 	if err != nil {
 		return nil, err
 	}
 	s := &Server{
 		pool:    pool,
-		sched:   newScheduler(opt.Workers, opt.QueueDepth, opt.JobTTL, opt.TenantJobs, opt.TenantQueue),
+		sched:   newScheduler(opt.Workers, opt.QueueDepth, opt.JobTTL, opt.TenantJobs, opt.TenantQueue, met),
 		store:   st,
 		flight:  newFlight(),
-		met:     newMetrics(),
+		met:     met,
 		auth:    a,
 		limiter: newLimiter(opt.TenantRate, opt.TenantBurst),
-		tmet:    newTenantMetrics(),
 		mux:     http.NewServeMux(),
 		opt:     opt,
 	}
@@ -224,7 +223,7 @@ func New(pool *data.SourcePool, opt Options) (*Server, error) {
 func (s *Server) Shutdown(ctx context.Context) (drained, cancelled int64) {
 	s.sched.close(ctx)
 	s.store.flush()
-	return s.sched.shutdownCounts()
+	return s.met.get(series{name: "htdp_shutdown_drained_total"}), s.met.get(series{name: "htdp_shutdown_cancelled_total"})
 }
 
 // Close drains the scheduler with no deadline: queued jobs finish as
@@ -246,7 +245,7 @@ func (s *Server) ReloadTokens() error {
 	}
 	for _, tenant := range removed {
 		if n := s.sched.cancelTenant(tenant, errTenantRevoked); n > 0 {
-			s.tmet.cancelledOverQuota(tenant, n)
+			s.met.add(series{name: "htdp_tenant_cancelled_over_quota_total", a: tenant}, int64(n))
 		}
 	}
 	return nil
@@ -291,10 +290,9 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			break
 		}
 		tenant = t
-		s.tmet.request(tenant)
 		if rateLimited(route) {
 			if ok, retry := s.limiter.allow(tenant); !ok {
-				s.tmet.throttle(tenant, throttleRate)
+				s.met.add(series{name: "htdp_tenant_throttled_total", a: tenant, b: throttleRate}, 1)
 				rec.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(retry)))
 				writeError(rec, http.StatusTooManyRequests, "rate_limited",
 					fmt.Sprintf("tenant %s is over its request rate; retry after the Retry-After delay", tenant))
@@ -304,7 +302,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		s.mux.ServeHTTP(rec, r.WithContext(withTenant(r.Context(), tenant)))
 	}
 	dur := time.Since(start)
-	s.met.observe(route, rec.code, dur)
+	s.met.observe(route, rec.code, dur, tenant)
 	s.logAccess(r, route, rec.code, tenant, dur)
 }
 
@@ -455,14 +453,15 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	w.Write([]byte("{\"status\":\"ok\"}\n"))
 }
 
+// handleMetrics reads the gauges from their owners into the scrape's
+// copy — the scheduler's first, since its read evicts expired jobs and
+// this scrape should count them — and renders it with the counters.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	jobs, expired := s.sched.counts()
-	drained, cancelled := s.sched.shutdownCounts()
-	var ts tenantStats
-	ts.requests, ts.throttled, ts.cancelled = s.tmet.snapshot()
-	ts.queued, ts.running = s.sched.tenantCounts()
+	g := map[series]int64{{name: "htdp_pool_datasets"}: int64(len(s.pool.List()))}
+	s.sched.gauges(g)
+	s.store.gauges(g)
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	s.met.write(w, s.store.stats(), s.flight.coalescedCount(), jobs, expired, len(s.pool.List()), drained, cancelled, ts)
+	s.met.write(w, g)
 }
 
 func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
@@ -686,8 +685,8 @@ func (s *Server) serveCachedOrRun(w http.ResponseWriter, r *http.Request, key st
 		// under it may touch the disk: contains() is index-only.
 		s.flight.mu.Lock()
 		if leader, ok := s.flight.leaders[key]; ok {
-			s.flight.coalesced++
 			s.flight.mu.Unlock()
+			s.met.add(series{name: "htdp_singleflight_coalesced_total"}, 1)
 			// Cross-tenant coalescing: the follower may receive the
 			// leader's job id (async), so it must be able to see the job.
 			leader.attach(tenant)
@@ -728,7 +727,7 @@ func (s *Server) serveCachedOrRun(w http.ResponseWriter, r *http.Request, key st
 			case errors.Is(err, errQueueFull):
 				writeError(w, http.StatusServiceUnavailable, "queue_full", "job queue is full; retry later")
 			case errors.Is(err, errTenantQueueFull):
-				s.tmet.throttle(tenant, throttleQuota)
+				s.met.add(series{name: "htdp_tenant_throttled_total", a: tenant, b: throttleQuota}, 1)
 				w.Header().Set("Retry-After", "1")
 				writeError(w, http.StatusTooManyRequests, "quota_exceeded",
 					fmt.Sprintf("tenant %s has %d jobs queued, its quota; wait for one to finish or cancel one", tenant, s.opt.TenantQueue))

@@ -596,7 +596,7 @@ func TestSweepFailureKeepsServing(t *testing.T) {
 }
 
 func TestSchedulerBackpressure(t *testing.T) {
-	s := newScheduler(1, 1, 0, 0, 0)
+	s := newScheduler(1, 1, 0, 0, 0, newMetrics())
 	defer s.close(context.Background())
 	block := make(chan struct{})
 	started := make(chan struct{})
@@ -645,7 +645,7 @@ func TestSchedulerBackpressure(t *testing.T) {
 }
 
 func TestSchedulerSubmitAfterClose(t *testing.T) {
-	s := newScheduler(1, 4, 0, 0, 0)
+	s := newScheduler(1, 4, 0, 0, 0, newMetrics())
 	s.close(context.Background())
 	if _, err := s.submit("run", "", anonTenant, 1, 0, func(context.Context, *job) ([]byte, error) { return nil, nil }); err == nil {
 		t.Fatal("submit after close: expected error, not a panic or success")
@@ -726,7 +726,7 @@ func TestDeltaCanonicalizedAgainstDataset(t *testing.T) {
 }
 
 func TestStoreMemoryLRUEvictionByBytes(t *testing.T) {
-	c, err := newStore(8, "", 0) // memory-only, 8-byte bound
+	c, err := newStore(8, "", 0, newMetrics()) // memory-only, 8-byte bound
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -750,9 +750,10 @@ func TestStoreMemoryLRUEvictionByBytes(t *testing.T) {
 	if _, _, ok := c.get("huge"); ok {
 		t.Fatal("oversized entry should not have been cached")
 	}
-	st := c.stats()
-	if st.Hits != 3 || st.Misses != 2 || st.MemEntries != 2 || st.MemBytes != 8 {
-		t.Fatalf("stats = %+v, want 3 hits, 2 misses, 2 entries, 8 bytes", st)
+	st := scrape(c.met, c)
+	if st[series{name: "htdp_cache_hits_total"}] != 3 || st[series{name: "htdp_cache_misses_total"}] != 2 ||
+		st[series{name: "htdp_cache_entries"}] != 2 || st[series{name: "htdp_cache_mem_bytes"}] != 8 {
+		t.Fatalf("stats = %v, want 3 hits, 2 misses, 2 entries, 8 bytes", st)
 	}
 }
 
@@ -829,6 +830,10 @@ func TestDiskTierCrashRestartRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The crashed server's abandoned worker may still be writing the
+	// in-flight sweep into dir when the test ends; let it finish before
+	// the temp dir is removed.
+	t.Cleanup(srv1.Close)
 	ts1 := httptest.NewServer(srv1)
 	reqA := RunRequest{Dataset: "csv", Algo: "fw", Eps: 2, Seed: 31, T: 4}
 	reqB := RunRequest{Dataset: "csv", Algo: "lasso", Eps: 1, Seed: 32, T: 3}
@@ -957,9 +962,9 @@ func TestSingleflightCoalescesConcurrentMisses(t *testing.T) {
 	// All N requests miss and join the flight group before any compute
 	// runs; wait for the N−1 followers to have registered.
 	deadline := time.Now().Add(10 * time.Second)
-	for srv.flight.coalescedCount() != n-1 {
+	for srv.met.get(series{name: "htdp_singleflight_coalesced_total"}) != n-1 {
 		if time.Now().After(deadline) {
-			t.Fatalf("coalesced = %d, want %d", srv.flight.coalescedCount(), n-1)
+			t.Fatalf("coalesced = %d, want %d", srv.met.get(series{name: "htdp_singleflight_coalesced_total"}), n-1)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -1095,7 +1100,7 @@ func TestJobCancellation(t *testing.T) {
 // injected clock: finished jobs past the TTL vanish from lookups, live
 // jobs never expire.
 func TestJobTTLEviction(t *testing.T) {
-	s := newScheduler(1, 4, time.Minute, 0, 0)
+	s := newScheduler(1, 4, time.Minute, 0, 0, newMetrics())
 	defer s.close(context.Background())
 	var (
 		mu  sync.Mutex
@@ -1135,7 +1140,7 @@ func TestJobTTLEviction(t *testing.T) {
 	if _, ok := s.get(slow.id); !ok {
 		t.Fatal("live job must never expire")
 	}
-	if _, expired := s.counts(); expired != 1 {
+	if expired := scrape(s.met, s)[series{name: "htdp_jobs_expired_total"}]; expired != 1 {
 		t.Fatalf("expired count = %d, want 1", expired)
 	}
 	close(release)

@@ -12,13 +12,13 @@ import (
 // exactly one becomes the leader (it registers here, under the same
 // lock section that checked for an existing leader); the other N−1
 // attach to the leader's job — sync followers block on it, async
-// followers receive its job id — and are counted in coalesced. The
-// determinism contract makes this purely an efficiency device: without
-// it the N jobs would all compute the same bytes.
+// followers receive its job id — and are counted in
+// htdp_singleflight_coalesced_total. The determinism contract makes
+// this purely an efficiency device: without it the N jobs would all
+// compute the same bytes.
 type flight struct {
-	mu        sync.Mutex
-	leaders   map[string]*job
-	coalesced int64
+	mu      sync.Mutex
+	leaders map[string]*job
 }
 
 func newFlight() *flight {
@@ -36,14 +36,6 @@ func (f *flight) drop(key string, j *job) {
 		delete(f.leaders, key)
 	}
 	f.mu.Unlock()
-}
-
-// coalescedCount returns the cumulative number of coalesced requests,
-// for /metrics.
-func (f *flight) coalescedCount() int64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.coalesced
 }
 
 // handleJobEvents answers GET /v1/jobs/{id}/events with a Server-Sent

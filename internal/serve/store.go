@@ -36,7 +36,8 @@ import (
 //   - a restart scans the directory, rebuilding the disk index with
 //     file mtime as the recency order.
 type store struct {
-	mu sync.Mutex
+	mu  sync.Mutex
+	met *metrics // hits, disk hits, misses and disk errors are counted here
 
 	memMax   int64
 	memBytes int64
@@ -48,9 +49,6 @@ type store struct {
 	diskBytes int64
 	dll       *list.List
 	dindex    map[string]*list.Element
-
-	hits, diskHits, misses int64
-	diskErrs               int64
 }
 
 type memItem struct {
@@ -63,27 +61,18 @@ type diskItem struct {
 	size int64
 }
 
-// storeStats is one consistent snapshot of the store's counters, for
-// /metrics.
-type storeStats struct {
-	Hits, DiskHits, Misses, DiskErrs int64
-	MemEntries                       int
-	MemBytes                         int64
-	DiskEntries                      int
-	DiskBytes                        int64
-}
-
 // newStore builds the two-tier store. dir == "" disables the disk
 // tier; otherwise the directory is created if needed and scanned:
 // leftover *.tmp files from a crashed write are deleted, every
 // well-formed entry (a 64-hex-digit filename) is indexed with its file
 // mtime as the recency order, and anything beyond diskMax is evicted
 // oldest-first before the store is used.
-func newStore(memMax int64, dir string, diskMax int64) (*store, error) {
+func newStore(memMax int64, dir string, diskMax int64, met *metrics) (*store, error) {
 	if memMax < 1 {
 		memMax = 1
 	}
 	s := &store{
+		met:    met,
 		memMax: memMax,
 		ll:     list.New(),
 		index:  make(map[string]*list.Element),
@@ -184,7 +173,7 @@ func (s *store) recheck(key string) (val []byte, tier string, ok bool) {
 func (s *store) lookup(key string, countMiss bool) (val []byte, tier string, ok bool) {
 	s.mu.Lock()
 	if el, ok := s.index[key]; ok {
-		s.hits++
+		s.met.add(series{name: "htdp_cache_hits_total"}, 1)
 		s.ll.MoveToFront(el)
 		v := el.Value.(*memItem).val
 		s.mu.Unlock()
@@ -193,7 +182,7 @@ func (s *store) lookup(key string, countMiss bool) (val []byte, tier string, ok 
 	_, onDisk := s.dindex[key]
 	if !onDisk {
 		if countMiss {
-			s.misses++
+			s.met.add(series{name: "htdp_cache_misses_total"}, 1)
 		}
 		s.mu.Unlock()
 		return nil, "", false
@@ -207,16 +196,16 @@ func (s *store) lookup(key string, countMiss bool) (val []byte, tier string, ok 
 	if err != nil {
 		// Vanished or unreadable (possibly evicted while we read):
 		// drop the entry if it is still indexed and report a miss.
-		s.diskErrs++
+		s.met.add(series{name: "htdp_cache_disk_errors_total"}, 1)
 		if el, ok := s.dindex[key]; ok {
 			s.dropDiskLocked(el)
 		}
 		if countMiss {
-			s.misses++
+			s.met.add(series{name: "htdp_cache_misses_total"}, 1)
 		}
 		return nil, "", false
 	}
-	s.diskHits++
+	s.met.add(series{name: "htdp_cache_disk_hits_total"}, 1)
 	if el, ok := s.dindex[key]; ok {
 		s.dll.MoveToFront(el)
 	}
@@ -262,7 +251,7 @@ func (s *store) put(key string, val []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err != nil {
-		s.diskErrs++
+		s.met.add(series{name: "htdp_cache_disk_errors_total"}, 1)
 		return
 	}
 	if _, ok := s.dindex[key]; ok {
@@ -360,19 +349,16 @@ func (s *store) flush() {
 		d.Close()
 	}
 	if err != nil {
-		s.mu.Lock()
-		s.diskErrs++
-		s.mu.Unlock()
+		s.met.add(series{name: "htdp_cache_disk_errors_total"}, 1)
 	}
 }
 
-// stats returns one consistent snapshot of the counters and tier sizes.
-func (s *store) stats() storeStats {
+// gauges writes the tier sizes into a scrape's copy of the registry.
+func (s *store) gauges(g map[series]int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return storeStats{
-		Hits: s.hits, DiskHits: s.diskHits, Misses: s.misses, DiskErrs: s.diskErrs,
-		MemEntries: s.ll.Len(), MemBytes: s.memBytes,
-		DiskEntries: s.dll.Len(), DiskBytes: s.diskBytes,
-	}
+	g[series{name: "htdp_cache_entries"}] = int64(s.ll.Len())
+	g[series{name: "htdp_cache_mem_bytes"}] = s.memBytes
+	g[series{name: "htdp_cache_disk_entries"}] = int64(s.dll.Len())
+	g[series{name: "htdp_cache_disk_bytes"}] = s.diskBytes
 }

@@ -16,7 +16,7 @@ func storeKey(label string) string {
 
 func TestStoreDiskTierWriteReadRestart(t *testing.T) {
 	dir := t.TempDir()
-	s, err := newStore(1<<20, dir, 1<<20)
+	s, err := newStore(1<<20, dir, 1<<20, newMetrics())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestStoreDiskTierWriteReadRestart(t *testing.T) {
 
 	// A "restarted" store over the same dir serves the same bytes from
 	// the disk tier, then from memory (promotion).
-	s2, err := newStore(1<<20, dir, 1<<20)
+	s2, err := newStore(1<<20, dir, 1<<20, newMetrics())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,9 +52,9 @@ func TestStoreDiskTierWriteReadRestart(t *testing.T) {
 	if _, tier, _ := s2.get(key); tier != "hit" {
 		t.Fatalf("second get after promotion tier = %q, want hit", tier)
 	}
-	st := s2.stats()
-	if st.DiskHits != 1 || st.Hits != 1 || st.DiskEntries != 1 {
-		t.Fatalf("stats = %+v", st)
+	st := scrape(s2.met, s2)
+	if st[series{name: "htdp_cache_disk_hits_total"}] != 1 || st[series{name: "htdp_cache_hits_total"}] != 1 || st[series{name: "htdp_cache_disk_entries"}] != 1 {
+		t.Fatalf("stats = %v", st)
 	}
 }
 
@@ -71,7 +71,7 @@ func TestStoreStartupScanSweepsTempAndForeignFiles(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "README"), []byte("keep me"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s, err := newStore(1<<20, dir, 1<<20)
+	s, err := newStore(1<<20, dir, 1<<20, newMetrics())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,8 +84,8 @@ func TestStoreStartupScanSweepsTempAndForeignFiles(t *testing.T) {
 	if got, tier, ok := s.get(key); !ok || tier != "disk" || !bytes.Equal(got, val) {
 		t.Fatalf("scanned entry get = %q tier=%q ok=%v", got, tier, ok)
 	}
-	if st := s.stats(); st.DiskEntries != 1 {
-		t.Fatalf("foreign files must not be indexed: %+v", st.DiskEntries)
+	if st := scrape(s.met, s); st[series{name: "htdp_cache_disk_entries"}] != 1 {
+		t.Fatalf("foreign files must not be indexed: %v", st)
 	}
 }
 
@@ -104,14 +104,14 @@ func TestStoreDiskEvictionByBytesOldestFirst(t *testing.T) {
 		}
 	}
 	// A bound of 8 admits only the two newest at startup.
-	s, err := newStore(1<<20, dir, 8)
+	s, err := newStore(1<<20, dir, 8, newMetrics())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(filepath.Join(dir, storeKey("aa"))); !os.IsNotExist(err) {
 		t.Fatal("oldest entry should have been evicted (and unlinked) at startup")
 	}
-	if st := s.stats(); st.DiskEntries != 2 || st.DiskBytes != 8 {
+	if st := scrape(s.met, s); st[series{name: "htdp_cache_disk_entries"}] != 2 || st[series{name: "htdp_cache_disk_bytes"}] != 8 {
 		t.Fatalf("post-scan stats = %+v", st)
 	}
 	// A new put evicts the now-oldest (bb) to stay under the bound.
@@ -131,7 +131,7 @@ func TestStoreDiskEvictionByBytesOldestFirst(t *testing.T) {
 
 func TestStoreVanishedFileIsAMiss(t *testing.T) {
 	dir := t.TempDir()
-	s, err := newStore(4, dir, 1<<20) // tiny memory tier: entries live on disk only
+	s, err := newStore(4, dir, 1<<20, newMetrics()) // tiny memory tier: entries live on disk only
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,9 +143,9 @@ func TestStoreVanishedFileIsAMiss(t *testing.T) {
 	if _, _, ok := s.get(key); ok {
 		t.Fatal("vanished file should be a miss")
 	}
-	st := s.stats()
-	if st.DiskErrs != 1 || st.DiskEntries != 0 {
-		t.Fatalf("stats after vanished file = %+v", st)
+	st := scrape(s.met, s)
+	if st[series{name: "htdp_cache_disk_errors_total"}] != 1 || st[series{name: "htdp_cache_disk_entries"}] != 0 {
+		t.Fatalf("stats after vanished file = %v", st)
 	}
 	// The determinism contract makes recovery trivial: re-put restores it.
 	s.put(key, []byte("12345678"))

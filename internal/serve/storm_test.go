@@ -231,7 +231,7 @@ func metricsExcerpt(metrics []byte) string {
 // directly on the scheduler: a weight-2 tenant receives two dispatches
 // per rotation against a weight-1 tenant's one, deterministically.
 func TestWeightedFairShare(t *testing.T) {
-	s := newScheduler(1, 64, 0, 0, 0)
+	s := newScheduler(1, 64, 0, 0, 0, newMetrics())
 	defer s.close(context.Background())
 	started := make(chan struct{})
 	release := make(chan struct{})
@@ -283,7 +283,7 @@ func TestWeightedFairShare(t *testing.T) {
 // cap keeps its work queued — no error — while other tenants dispatch
 // past it.
 func TestTenantJobsCapThrottlesDispatchOnly(t *testing.T) {
-	s := newScheduler(2, 64, 0, 1, 0) // 2 workers, 1 running job per tenant
+	s := newScheduler(2, 64, 0, 1, 0, newMetrics()) // 2 workers, 1 running job per tenant
 	defer s.close(context.Background())
 	started := make(chan struct{})
 	release := make(chan struct{})
