@@ -76,28 +76,9 @@ func BenchmarkRobustMeanTerm(b *testing.B) {
 	_ = sink
 }
 
-// BenchmarkRobustGradient measures a full robust coordinate-wise
-// gradient estimate over a 1000-sample, 500-dimensional chunk.
-func BenchmarkRobustGradient(b *testing.B) {
-	const m, d = 1000, 500
-	r := randx.New(1)
-	rows := make([][]float64, m)
-	for i := range rows {
-		rows[i] = r.NormalVec(make([]float64, d), 3)
-	}
-	e := robust.MeanEstimator{S: 20, Beta: 1}
-	dst := make([]float64, d)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.EstimateVec(dst, rows)
-	}
-}
-
 // workerLevels sweeps the Parallelism knob: 1 (sequential reference),
-// then doublings up to GOMAXPROCS. On a ≥4-core machine the d ≥ 1000
-// sub-benchmarks below demonstrate the ≥2× speedup of the sharded
-// engine; every level returns bit-identical results.
+// then doublings up to GOMAXPROCS; every level returns bit-identical
+// results.
 func workerLevels() []int {
 	levels := []int{1}
 	for w := 2; w < runtime.GOMAXPROCS(0); w *= 2 {
@@ -109,34 +90,12 @@ func workerLevels() []int {
 	return levels
 }
 
-// BenchmarkCatoni measures the robust coordinate-wise gradient estimate
-// (EstimateVec) on a 1000-sample, d=2000 chunk across worker counts —
-// the n·d Term evaluation that dominates Algorithms 1 and 5.
-func BenchmarkCatoni(b *testing.B) {
-	const m, d = 1000, 2000
-	r := randx.New(1)
-	rows := make([][]float64, m)
-	for i := range rows {
-		rows[i] = r.NormalVec(make([]float64, d), 3)
-	}
-	dst := make([]float64, d)
-	for _, w := range workerLevels() {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			e := robust.MeanEstimator{S: 20, Beta: 1, Parallelism: w}
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				e.EstimateVec(dst, rows)
-			}
-		})
-	}
-}
-
 // BenchmarkCatoniFused measures the fused margin kernel on the
 // workload of BenchmarkCatoniFunc — margins via the blocked X·w
 // product, per-sample gradient scales, column-blocked truncation with
 // a warm workspace — the steady-state gradient iteration of
-// Algorithms 1 and 5 after this PR. Compare against BenchmarkCatoniFunc
-// (the row-at-a-time shape) to see the fusion win; allocs/op is 0 at
+// Algorithms 1 and 5. Compare against BenchmarkCatoniFunc (the
+// row-at-a-time shape) to see the fusion win; allocs/op is 0 at
 // workers=1.
 func BenchmarkCatoniFused(b *testing.B) {
 	const m, d = 1000, 2000
@@ -176,8 +135,10 @@ func BenchmarkCatoniFused(b *testing.B) {
 }
 
 // BenchmarkCatoniFunc measures the buffer-filling variant
-// (EstimateFunc) on the same shape — the path the optimization loops
-// use, where per-sample gradients are recomputed inside each shard.
+// (EstimateFuncWS with a warm workspace) on the same shape — the path
+// the optimization loops take for losses that do not factorize through
+// the margin, where per-sample gradients are recomputed inside each
+// shard.
 func BenchmarkCatoniFunc(b *testing.B) {
 	const m, d = 1000, 2000
 	r := randx.New(2)
@@ -189,9 +150,13 @@ func BenchmarkCatoniFunc(b *testing.B) {
 	for _, w := range workerLevels() {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			e := robust.MeanEstimator{S: 20, Beta: 1, Parallelism: w}
+			ws := robust.NewWorkspace()
+			grad := func(i int, buf []float64) { copy(buf, rows[i]) }
+			e.EstimateFuncWS(dst, m, ws, grad) // warm the workspace
 			b.ReportAllocs()
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				e.EstimateFunc(dst, m, func(i int, buf []float64) { copy(buf, rows[i]) })
+				e.EstimateFuncWS(dst, m, ws, grad)
 			}
 		})
 	}
@@ -226,9 +191,12 @@ func BenchmarkMatTVec(b *testing.B) {
 	dst := make([]float64, d)
 	for _, w := range workerLevels() {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
+			var ws vecmath.MatWorkspace
+			ws.MatTVec(dst, m, v, w) // warm the workspace
 			b.ReportAllocs()
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				m.MatTVecP(dst, v, w)
+				ws.MatTVec(dst, m, v, w)
 			}
 		})
 	}

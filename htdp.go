@@ -273,7 +273,7 @@ func SparseOpt(src Source, opt SparseOptOptions) ([]float64, error) {
 // bounds the ℓ∞-sensitivity of v. The selection scan runs on all cores;
 // PeelingP selects the worker count explicitly.
 func Peeling(r *RNG, v []float64, s int, eps, delta, lambda float64) []float64 {
-	return core.Peeling(r, v, s, eps, delta, lambda)
+	return core.PeelingP(r, v, s, eps, delta, lambda, 0)
 }
 
 // PeelingP is Peeling with an explicit worker count (0 → GOMAXPROCS,

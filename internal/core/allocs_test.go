@@ -120,3 +120,52 @@ func TestLassoIterationZeroAllocs(t *testing.T) {
 	})
 	requireSteadyStateZero(t, "Lasso", counts)
 }
+
+// TestBaselinesSteadyStateZeroAllocs: the DP baselines that run on the
+// shared per-sample gradient sum (loss.GradWorkspace.GradSum) allocate
+// only at setup. They have no Trace hook, so the contract is measured
+// from outside: a run of 2T steps allocates exactly as many objects as
+// a run of T steps. GC is paused, as in iterAllocs.
+func TestBaselinesSteadyStateZeroAllocs(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	ds := allocsDataset()
+	ball := polytope.NewL1Ball(50, 1)
+	runs := map[string]func(T int) error{
+		"TalwarDPFW": func(T int) error {
+			_, err := TalwarDPFW(data.NewMemSource(ds), TalwarFWOptions{
+				Loss: loss.Squared{}, Domain: ball, Eps: 1, Delta: 1e-5, T: T,
+				Parallelism: 1, Rng: randx.New(5),
+			})
+			return err
+		},
+		"DPGD": func(T int) error {
+			_, err := DPGD(data.NewMemSource(ds), DPGDOptions{
+				Loss: loss.Squared{}, Eps: 1, Delta: 1e-5, T: T,
+				Parallelism: 1, Rng: randx.New(6),
+			})
+			return err
+		},
+		"DPSGD": func(T int) error {
+			_, err := DPSGD(data.NewMemSource(ds), DPSGDOptions{
+				Loss: loss.Squared{}, Eps: 1, Delta: 1e-5, T: T, Batch: 60,
+				Parallelism: 1, Rng: randx.New(7),
+			})
+			return err
+		},
+	}
+	for name, run := range runs {
+		t.Run(name, func(t *testing.T) {
+			allocs := func(T int) float64 {
+				return testing.AllocsPerRun(3, func() {
+					if err := run(T); err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
+			if a, b := allocs(allocsT), allocs(2*allocsT); a != b {
+				t.Fatalf("%s allocates %v objects at T=%d but %v at T=%d, want equal (zero per step)",
+					name, a, allocsT, b, 2*allocsT)
+			}
+		})
+	}
+}

@@ -139,9 +139,10 @@ func TalwarDPFW(src data.Source, opt TalwarFWOptions) ([]float64, error) {
 	vtx := make([]float64, d)
 	sens := maxVertexL1(opt.Domain, vtx) * 2 * opt.GradBound / float64(n)
 	sel := newVertexSelector(opt.Domain, grad)
-	gsum := newGradSum(opt.Loss, func(buf []float64) { vecmath.Clip(buf, opt.GradBound) })
+	var gws loss.GradWorkspace
+	clip := func(g []float64) { vecmath.Clip(g, opt.GradBound) }
 	chunkBody := func(_ int, ck *data.Dataset) error {
-		gsum.run(part, w, ck, opt.Parallelism)
+		gws.GradSum(part, opt.Loss, w, ck, clip, opt.Parallelism)
 		vecmath.Axpy(1, part, grad)
 		return nil
 	}
@@ -213,9 +214,10 @@ func DPGD(src data.Source, opt DPGDOptions) ([]float64, error) {
 	w := make([]float64, d)
 	grad := make([]float64, d)
 	part := make([]float64, d)
-	gsum := newGradSum(opt.Loss, func(buf []float64) { vecmath.ClipL2(buf, opt.Clip) })
+	var gws loss.GradWorkspace
+	clip := func(g []float64) { vecmath.ClipL2(g, opt.Clip) }
 	chunkBody := func(_ int, ck *data.Dataset) error {
-		gsum.run(part, w, ck, opt.Parallelism)
+		gws.GradSum(part, opt.Loss, w, ck, clip, opt.Parallelism)
 		vecmath.Axpy(1, part, grad)
 		return nil
 	}
@@ -363,7 +365,8 @@ func DPSGD(src data.Source, opt DPSGDOptions) ([]float64, error) {
 	gy := make([]float64, opt.Batch)
 	gathered := &data.Dataset{X: gx, Y: gy}
 	rowBuf := make([]float64, d)
-	gsum := newGradSum(opt.Loss, func(buf []float64) { vecmath.ClipL2(buf, opt.Clip) })
+	var gws loss.GradWorkspace
+	clip := func(g []float64) { vecmath.ClipL2(g, opt.Clip) }
 	w := make([]float64, d)
 	grad := make([]float64, d)
 	for t := 1; t <= opt.T; t++ {
@@ -375,7 +378,7 @@ func DPSGD(src data.Source, opt DPSGDOptions) ([]float64, error) {
 			copy(gx.Row(b), x)
 			gy[b] = y
 		}
-		gsum.run(grad, w, gathered, opt.Parallelism)
+		gws.GradSum(grad, opt.Loss, w, gathered, clip, opt.Parallelism)
 		vecmath.Scale(grad, 1/float64(opt.Batch))
 		for j := range grad {
 			grad[j] += sigma * opt.Rng.Normal()

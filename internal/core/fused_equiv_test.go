@@ -22,10 +22,30 @@ import (
 // is the determinism contract extended across the PR boundary: fusion
 // is an implementation detail, never a numeric change.
 
-// refEstimateFunc is the pre-fusion MeanEstimator.EstimateFunc: fresh
-// per-shard scratch, per-sample Term calls, ReduceVec merge.
+// refShardSum is the reference vector reduction, written without the
+// engine: a sequential loop over the shard bounds s·n/k, shard 0
+// accumulating into dst (zeroed first) and every later shard into a
+// fresh zeroed partial added into dst in shard order.
+func refShardSum(dst []float64, n int, body func(acc []float64, lo, hi int)) []float64 {
+	vecmath.Zero(dst)
+	k := parallel.NumShards(n)
+	for s := 0; s < k; s++ {
+		acc := dst
+		if s > 0 {
+			acc = make([]float64, len(dst))
+		}
+		body(acc, s*n/k, (s+1)*n/k)
+		if s > 0 {
+			vecmath.Axpy(1, acc, dst)
+		}
+	}
+	return dst
+}
+
+// refEstimateFunc is the pre-fusion coordinate-wise estimator: fresh
+// per-shard scratch, per-sample Term calls, shard-order merge.
 func refEstimateFunc(e robust.MeanEstimator, dst []float64, n int, grad func(i int, buf []float64)) []float64 {
-	parallel.ReduceVec(e.Parallelism, n, dst, func(acc []float64, _, lo, hi int) {
+	refShardSum(dst, n, func(acc []float64, lo, hi int) {
 		buf := make([]float64, len(acc))
 		for i := lo; i < hi; i++ {
 			grad(i, buf)
@@ -39,6 +59,16 @@ func refEstimateFunc(e robust.MeanEstimator, dst []float64, n int, grad func(i i
 		dst[j] *= inv
 	}
 	return dst
+}
+
+// refMatTVec is the pre-workspace blocked Xᵀr: per-shard partials with
+// fresh buffers, merged in shard order.
+func refMatTVec(dst []float64, x *vecmath.Mat, r []float64) []float64 {
+	return refShardSum(dst, x.Rows, func(acc []float64, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			vecmath.Axpy(r[i], x.Row(i), acc)
+		}
+	})
 }
 
 // refRobustGrad is the pre-fusion gradient step of Algorithms 1 and 5:
@@ -98,7 +128,7 @@ func refMaxVertexL1(p polytope.Polytope) float64 {
 	return m
 }
 
-// refLasso is the pre-fusion Algorithm 2 loop (allocating blocked
+// refLasso is the pre-fusion Algorithm 2 loop (sequential reference
 // kernels, closure-per-iteration exponential mechanism).
 func refLasso(src data.Source, opt LassoOptions) ([]float64, error) {
 	if err := opt.fill(src.N(), src.D()); err != nil {
@@ -119,11 +149,11 @@ func refLasso(src data.Source, opt LassoOptions) ([]float64, error) {
 		err := data.EachChunk(sh, C, func(_ int, ck *data.Dataset) error {
 			m := ck.N()
 			r := resid[:m]
-			ck.X.MatVecP(r, w, opt.Parallelism)
+			ck.X.MatVec(r, w)
 			for i := 0; i < m; i++ {
 				r[i] -= ck.Y[i]
 			}
-			ck.X.MatTVecP(part, r, opt.Parallelism)
+			refMatTVec(part, ck.X, r)
 			vecmath.Axpy(1, part, grad)
 			return nil
 		})
@@ -157,11 +187,11 @@ func refSparseLinReg(src data.Source, opt SparseLinRegOptions) ([]float64, error
 		}
 		m := part.N()
 		r := resid[:m]
-		part.X.MatVecP(r, w, opt.Parallelism)
+		part.X.MatVec(r, w)
 		for i := 0; i < m; i++ {
 			r[i] -= part.Y[i]
 		}
-		part.X.MatTVecP(grad, r, opt.Parallelism)
+		refMatTVec(grad, part.X, r)
 		vecmath.Axpy(-opt.Eta0/float64(m), grad, w)
 		lambda := 2 * opt.K * opt.K * opt.Eta0 * (math.Sqrt(float64(opt.S)) + 1) / float64(m)
 		w = PeelingP(opt.Rng, w, opt.S, opt.Eps, opt.Delta, lambda, opt.Parallelism)

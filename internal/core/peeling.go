@@ -9,7 +9,7 @@ import (
 	"htdp/internal/vecmath"
 )
 
-// Peeling is Algorithm 4 (from Cai–Wang–Zhang): the (ε, δ)-DP noisy
+// PeelingP is Algorithm 4 (from Cai–Wang–Zhang): the (ε, δ)-DP noisy
 // top-s selection. It iteratively appends the index maximizing
 // |v_j| + Lap-noise to the selected set, then returns v restricted to
 // the set plus fresh Laplace noise on the selected entries.
@@ -17,15 +17,9 @@ import (
 // lambda must bound the ℓ∞-sensitivity of v as a function of the data;
 // by Lemma 10, the output is then (ε, δ)-DP. Each of the s selection
 // rounds and the final release use noise scale 2λ√(3s·log(1/δ))/ε.
-//
 // The input v is not modified; the result is a fresh s-sparse vector.
-// Peeling runs the selection scan on GOMAXPROCS workers; PeelingP
-// selects the worker count explicitly.
-func Peeling(r *randx.RNG, v []float64, s int, eps, delta, lambda float64) []float64 {
-	return PeelingP(r, v, s, eps, delta, lambda, 0)
-}
-
-// PeelingP is Peeling with an explicit worker count (0 → GOMAXPROCS,
+//
+// workers is the worker count of the selection scan (0 → GOMAXPROCS,
 // 1 → sequential). Each selection round shards the coordinate range
 // across workers; every shard draws its Laplace noise from its own
 // child stream split off r in shard order, computes a local noisy

@@ -7,7 +7,6 @@ import (
 	"htdp/internal/data"
 	"htdp/internal/dp"
 	"htdp/internal/loss"
-	"htdp/internal/parallel"
 	"htdp/internal/polytope"
 	"htdp/internal/randx"
 	"htdp/internal/robust"
@@ -17,8 +16,8 @@ import (
 // This file holds the per-run iteration workspaces that make the
 // algorithms' steady-state loops allocation-free: the fused
 // robust-gradient state (gradState), the vertex-selection state
-// (vertexSelector), the clipped-gradient reduction of the baselines
-// (gradSum), and the memoized vertex-norm bound (maxVertexL1). Every
+// (vertexSelector), and the memoized vertex-norm bound (maxVertexL1);
+// the baselines' clipped-gradient sums run on loss.GradWorkspace. Every
 // helper is created once per run, before the iteration loop, and owns
 // its buffers and loop closures for the run's lifetime; none are safe
 // for concurrent use. See DESIGN.md, "Performance".
@@ -29,7 +28,7 @@ import (
 // margins, one scalar pass for the per-sample gradient scales, then
 // robust.EstimateChunk straight over the data rows. Other losses take
 // the generic row-at-a-time path with a hoisted callback. Both paths
-// are bit-identical to MeanEstimator.EstimateFunc over Loss.Grad rows.
+// are bit-identical to MeanEstimator.EstimateFuncWS over Loss.Grad rows.
 type gradState struct {
 	est robust.MeanEstimator
 	l   loss.Loss
@@ -100,61 +99,6 @@ func (vs *vertexSelector) pick(r *randx.RNG, sens, eps float64) int {
 		return dp.ExponentialL1Ball(r, vs.grad, vs.ball.Radius, sens, eps)
 	}
 	return dp.ExponentialLazy(r, vs.dom.NumVertices(), vs.score, sens, eps)
-}
-
-// gradSum is the reusable clipped-gradient reduction of the DP
-// baselines: Σᵢ transform(∇ℓ(w, rowᵢ)) over a chunk, with
-// parallel.ReduceVec semantics, pooled shard partials and scratch rows,
-// and a cached body closure.
-type gradSum struct {
-	l         loss.Loss
-	transform func(buf []float64) // per-sample map (clipping); nil for none
-
-	red      parallel.VecReducer
-	bufsPool parallel.ShardBufs
-	bufs     [][]float64
-
-	w    []float64
-	ck   *data.Dataset
-	body func(shard, lo, hi int)
-}
-
-func newGradSum(l loss.Loss, transform func(buf []float64)) *gradSum {
-	return &gradSum{l: l, transform: transform}
-}
-
-// run accumulates over the chunk's rows into dst, zeroing it first.
-func (g *gradSum) run(dst, w []float64, ck *data.Dataset, workers int) {
-	m := ck.N()
-	if m <= 0 {
-		vecmath.Zero(dst)
-		return
-	}
-	k := parallel.NumShards(m)
-	g.red.Setup(k, dst)
-	g.bufs = g.bufsPool.Get(k, len(dst))
-	g.w, g.ck = w, ck
-	if g.body == nil {
-		g.body = func(shard, lo, hi int) {
-			l, w, ck := g.l, g.w, g.ck
-			acc := g.red.Accs()[shard]
-			if shard > 0 {
-				vecmath.Zero(acc)
-			}
-			buf := g.bufs[shard]
-			vecmath.Zero(buf)
-			for i := lo; i < hi; i++ {
-				l.Grad(buf, w, ck.X.Row(i), ck.Y[i])
-				if g.transform != nil {
-					g.transform(buf)
-				}
-				vecmath.Axpy(1, buf, acc)
-			}
-		}
-	}
-	parallel.For(workers, m, g.body)
-	g.red.Merge(dst)
-	g.w, g.ck = nil, nil
 }
 
 // vertexL1Cache memoizes maxVertexL1 for generic (vertex-enumerated)

@@ -18,8 +18,9 @@ import (
 // ReadCSV parses a numeric CSV into a Dataset. labelCol selects the
 // label column (negative counts from the end: −1 is the last column);
 // all remaining columns become features, in order. hasHeader skips the
-// first row. Rows with non-numeric fields are rejected with a
-// row-numbered error.
+// first row. Rows with non-numeric or non-finite fields (nan, inf) are
+// rejected with a row- and column-numbered error; rows parse exactly as
+// CSVSource parses them.
 func ReadCSV(r io.Reader, label string, labelCol int, hasHeader bool) (*Dataset, error) {
 	cr := csv.NewReader(r)
 	cr.ReuseRecord = true
@@ -30,8 +31,7 @@ func ReadCSV(r io.Reader, label string, labelCol int, hasHeader bool) (*Dataset,
 		}
 		rowNum++
 	}
-	var feats [][]float64
-	var ys []float64
+	var xs, ys []float64
 	width := -1
 	for {
 		rec, err := cr.Read()
@@ -50,35 +50,18 @@ func ReadCSV(r io.Reader, label string, labelCol int, hasHeader bool) (*Dataset,
 		} else if len(rec) != width {
 			return nil, fmt.Errorf("data: CSV row %d has %d fields, want %d", rowNum, len(rec), width)
 		}
-		lc := labelCol
-		if lc < 0 {
-			lc = width + lc
+		xs = append(xs, make([]float64, width-1)...)
+		ys = append(ys, 0)
+		if err := parseNumericRow(rec, labelCol, xs[len(xs)-(width-1):], &ys[len(ys)-1]); err != nil {
+			return nil, fmt.Errorf("data: CSV row %d %w", rowNum, err)
 		}
-		if lc < 0 || lc >= width {
-			return nil, fmt.Errorf("data: label column %d outside row of width %d", labelCol, width)
-		}
-		row := make([]float64, 0, width-1)
-		var y float64
-		for j, f := range rec {
-			v, err := strconv.ParseFloat(f, 64)
-			if err != nil {
-				return nil, fmt.Errorf("data: CSV row %d col %d: %w", rowNum, j, err)
-			}
-			if j == lc {
-				y = v
-			} else {
-				row = append(row, v)
-			}
-		}
-		feats = append(feats, row)
-		ys = append(ys, y)
 	}
-	if len(feats) == 0 {
+	if len(ys) == 0 {
 		return nil, fmt.Errorf("data: empty CSV")
 	}
 	return &Dataset{
 		Label: label,
-		X:     vecmath.MatFromRows(feats),
+		X:     &vecmath.Mat{Rows: len(ys), Cols: width - 1, Data: xs},
 		Y:     ys,
 	}, nil
 }

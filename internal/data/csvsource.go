@@ -4,6 +4,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 
@@ -20,8 +21,9 @@ import (
 // followed by an evaluation pass over few chunks — cost no extra I/O
 // while peak residency stays bounded by a single chunk.
 //
-// Parsing matches ReadCSV exactly (strconv.ParseFloat on every field),
-// and WriteCSV emits shortest round-trip decimal, so a dataset written
+// Parsing matches ReadCSV exactly (both parse rows through one parser:
+// strconv.ParseFloat on every field, non-finite values rejected), and
+// WriteCSV emits shortest round-trip decimal, so a dataset written
 // with WriteCSV and streamed back yields bit-identical chunk contents
 // to MemSource over the original — the property TestSourceEquivalence
 // locks in.
@@ -303,8 +305,11 @@ func (s *CSVSource) Close() error {
 	return s.f.Close()
 }
 
-// parseNumericRow parses one CSV record into a feature row and a label,
-// exactly as ReadCSV does field by field.
+// parseNumericRow parses one CSV record into a feature row and a label
+// — the one row parser of ReadCSV and CSVSource. Every field must parse
+// as a finite float64: strconv.ParseFloat also accepts nan, inf and
+// infinity, which would otherwise enter a dataset and surface only as
+// a NaN result (or an unencodable JSON response) after a full run.
 func parseNumericRow(rec []string, labelCol int, feat []float64, y *float64) error {
 	width := len(rec)
 	lc := labelCol
@@ -319,6 +324,9 @@ func parseNumericRow(rec []string, labelCol int, feat []float64, y *float64) err
 		v, err := strconv.ParseFloat(f, 64)
 		if err != nil {
 			return fmt.Errorf("col %d: %w", j, err)
+		}
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("col %d: non-finite value %q", j, f)
 		}
 		if j == lc {
 			*y = v

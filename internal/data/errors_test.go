@@ -27,6 +27,9 @@ func TestReadCSVErrorMessagesLocateRow(t *testing.T) {
 		"label-col-too-low":  {"1,2,3\n", -9, false, "label column -9"},
 		"single-column":      {"42\n", -1, false, "≥2 columns"},
 		"empty-input":        {"", -1, false, "empty CSV"},
+		"nan-row-2-col-0":    {"1,2\nnan,4\n", -1, false, "row 2 col 0: non-finite"},
+		"inf-label":          {"1,Inf\n", -1, false, "row 1 col 1: non-finite"},
+		"infinity-feature":   {"1,2,3\n4,-infinity,6\n", 0, false, "row 2 col 1: non-finite"},
 		"header-then-empty":  {"a,b\n", -1, true, "empty CSV"},
 	}
 	for name, c := range cases {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"htdp/internal/randx"
@@ -246,6 +247,18 @@ func TestCSVSourceErrors(t *testing.T) {
 	defer src.Close()
 	if _, err := src.Chunk(0, 1); err == nil {
 		t.Error("non-numeric field: expected error")
+	}
+	// Non-finite fields are rejected on both read paths, like ReadCSV.
+	nan, err := OpenCSV(write("nan.csv", "1,2\n3,NaN\n"), "nan", -1, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nan.Close()
+	if _, err := nan.Chunk(0, 1); err == nil || !strings.Contains(err.Error(), "row 1 col 1: non-finite") {
+		t.Errorf("NaN field: Chunk error %v, want row 1 col 1 non-finite", err)
+	}
+	if _, _, err := nan.RowAt(1, nil); err == nil || !strings.Contains(err.Error(), "non-finite") {
+		t.Errorf("NaN field: RowAt error %v, want non-finite", err)
 	}
 }
 

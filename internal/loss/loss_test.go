@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"htdp/internal/data"
 	"htdp/internal/randx"
 	"htdp/internal/vecmath"
 )
@@ -195,10 +196,13 @@ func TestEmpiricalAndFullGradient(t *testing.T) {
 	if got := Empirical(l, w, x, y); got != 1 {
 		t.Fatalf("Empirical = %v", got)
 	}
-	g := FullGradient(l, nil, w, x, y)
+	g, err := FullGradientSourceWS(l, nil, w, data.NewMemSource(&data.Dataset{X: x, Y: y}), 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Sample grads: 2·(0−1)·(1,0) = (−2,0); 2·(0+1)·(0,1) = (0,2); mean = (−1,1).
 	if g[0] != -1 || g[1] != 1 {
-		t.Fatalf("FullGradient = %v", g)
+		t.Fatalf("FullGradientSourceWS = %v", g)
 	}
 	// Finite-difference check of the dataset-level gradient.
 	const h = 1e-6

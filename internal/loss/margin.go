@@ -44,11 +44,14 @@ func AsMargin(l Loss) (MarginLoss, bool) {
 }
 
 // MarginsChunk computes all margins zᵢ = ⟨w, xᵢ⟩ of a chunk into dst
-// (len x.Rows; allocated when nil) via the blocked MatVecP kernel —
-// phase one of the fused gradient. Each margin is bit-identical to the
-// vecmath.Dot(w, xᵢ) the unfused Grad methods evaluate.
+// (len x.Rows; allocated when nil) via the blocked MatWorkspace.MatVec
+// kernel — phase one of the fused gradient. Each margin is
+// bit-identical to the vecmath.Dot(w, xᵢ) the unfused Grad methods
+// evaluate. Loops should keep a vecmath.MatWorkspace and call its
+// MatVec directly, which allocates nothing once warm.
 func MarginsChunk(dst, w []float64, x *vecmath.Mat, workers int) []float64 {
-	return x.MatVecP(dst, w, workers)
+	var ws vecmath.MatWorkspace
+	return ws.MatVec(dst, x, w, workers)
 }
 
 // GradFromMargin writes ∇_w ℓ into dst given the precomputed margin z,

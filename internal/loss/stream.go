@@ -10,12 +10,12 @@ import (
 
 // The streaming evaluators walk a data.Source in StreamChunks(n) chunks
 // so risk and gradients can be computed over data that never fits in
-// memory at once. Within a chunk the samples are sharded exactly like
-// EmpiricalP/FullGradientP; chunks merge in chunk order. Both orders
+// memory at once. Within a chunk the samples are sharded on the
+// internal/parallel engine; chunks merge in chunk order. Both orders
 // are functions of n alone, so the value is bit-identical for every
 // worker count and every backend serving the same rows — but it is a
-// different (fixed) summation order than the matrix-resident Empirical/
-// FullGradient, which keep their historical full-range order.
+// different (fixed) summation order than the matrix-resident Empirical,
+// which keeps its historical full-range order.
 
 // EmpiricalSource returns the empirical risk (1/n)·Σᵢ ℓ(w, (xᵢ, yᵢ))
 // over the source, streaming one chunk at a time. workers resolves as
@@ -56,19 +56,12 @@ func ExcessRiskSource(l Loss, w, ref []float64, src data.Source, workers int) (f
 	return rw - rr, nil
 }
 
-// FullGradientSource writes the empirical-risk gradient
-// (1/n)·Σᵢ ∇ℓ(w, (xᵢ, yᵢ)) over the source into dst (allocated when
-// nil) and returns it, streaming one chunk at a time.
-func FullGradientSource(l Loss, dst, w []float64, src data.Source, workers int) ([]float64, error) {
-	return FullGradientSourceWS(l, dst, w, src, workers, nil)
-}
-
-// GradWorkspace is the reusable scratch of FullGradientSourceWS: the
-// margin/scale buffers of the fused path, the per-chunk partial, the
-// per-shard reduction buffers of the generic path, and the cached loop
-// closures. One workspace per run per goroutine; reusing it across a
-// loop's iterations eliminates the per-iteration allocations of the
-// full-gradient baselines.
+// GradWorkspace is the reusable scratch of the full-gradient loops: the
+// margin/scale buffers of FullGradientSourceWS's fused path, its
+// per-chunk partial, and GradSum's per-shard reduction buffers and
+// cached loop closure. One workspace per run per goroutine; reusing it
+// across a loop's iterations eliminates the per-iteration allocations
+// of the full-gradient baselines. The zero value is ready to use.
 type GradWorkspace struct {
 	// Mat serves the fused path's blocked X·w and Xᵀc products.
 	Mat vecmath.MatWorkspace
@@ -79,10 +72,12 @@ type GradWorkspace struct {
 	bufsPool parallel.ShardBufs
 	bufs     [][]float64
 
-	l    Loss
-	w    []float64
-	ck   *data.Dataset
-	body func(shard, lo, hi int)
+	// GradSum call state, read by the cached body.
+	l         Loss
+	w         []float64
+	ck        *data.Dataset
+	transform func(g []float64)
+	body      func(shard, lo, hi int)
 }
 
 func growFloats(s []float64, n int) []float64 {
@@ -92,12 +87,14 @@ func growFloats(s []float64, n int) []float64 {
 	return s[:n]
 }
 
-// FullGradientSourceWS is FullGradientSource with a reusable workspace
-// (nil behaves like FullGradientSource). Margin-factorized losses
-// without a regularization term take the fused path — one blocked X·w
-// product for the margins, one scalar pass for the gradient scales, one
-// blocked Xᵀc product for the chunk gradient — instead of materializing
-// n gradient rows; the result is bit-identical (the per-shard,
+// FullGradientSourceWS writes the empirical-risk gradient
+// (1/n)·Σᵢ ∇ℓ(w, (xᵢ, yᵢ)) over the source into dst (allocated when
+// nil) and returns it, streaming one chunk at a time; ws is reusable
+// scratch (nil allocates a fresh one). Margin-factorized losses without
+// a regularization term take the fused path — one blocked X·w product
+// for the margins, one scalar pass for the gradient scales, one blocked
+// Xᵀc product for the chunk gradient — instead of materializing n
+// gradient rows; the result is bit-identical to GradSum (the per-shard,
 // per-coordinate accumulation chains are unchanged, see
 // loss.MarginLoss).
 func FullGradientSourceWS(l Loss, dst, w []float64, src data.Source, workers int, ws *GradWorkspace) ([]float64, error) {
@@ -130,22 +127,29 @@ func FullGradientSourceWS(l Loss, dst, w []float64, src data.Source, workers int
 			ScalesFromMargins(ml, ws.scales, margins, ck.Y)
 			ws.Mat.MatTVec(part, ck.X, ws.scales, workers)
 		} else {
-			ws.reduceGrad(part, l, w, ck, workers)
+			ws.GradSum(part, l, w, ck, nil, workers)
 		}
 		vecmath.Axpy(1, part, dst)
 		return nil
 	})
 	if err != nil {
-		return nil, fmt.Errorf("loss: FullGradientSource: %w", err)
+		return nil, fmt.Errorf("loss: FullGradientSourceWS: %w", err)
 	}
 	vecmath.Scale(dst, 1/float64(n))
 	return dst, nil
 }
 
-// reduceGrad is the generic per-sample gradient sum over one chunk:
-// parallel.ReduceVec semantics with pooled shard partials and scratch
-// rows and a cached body closure.
-func (ws *GradWorkspace) reduceGrad(dst []float64, l Loss, w []float64, ck *data.Dataset, workers int) {
+// GradSum writes Σᵢ transform(∇ℓ(w, (xᵢ, yᵢ))) over the chunk's rows
+// into dst (len d), zeroing it first — the one sharded per-sample
+// gradient sum, behind FullGradientSourceWS's generic path and the DP
+// baselines' clipped sums. Each shard evaluates Grad into its own
+// scratch row, applies transform (nil for none; the baselines clip
+// here) and adds the row into its own partial; partials merge in shard
+// order, so the sum is bit-identical at every worker count. transform
+// runs concurrently across shards and must write only its argument.
+// A warm workspace makes the call allocation-free (with the sequential
+// engine).
+func (ws *GradWorkspace) GradSum(dst []float64, l Loss, w []float64, ck *data.Dataset, transform func(g []float64), workers int) {
 	m := ck.N()
 	if m <= 0 {
 		vecmath.Zero(dst)
@@ -154,10 +158,10 @@ func (ws *GradWorkspace) reduceGrad(dst []float64, l Loss, w []float64, ck *data
 	k := parallel.NumShards(m)
 	ws.red.Setup(k, dst)
 	ws.bufs = ws.bufsPool.Get(k, len(dst))
-	ws.l, ws.w, ws.ck = l, w, ck
+	ws.l, ws.w, ws.ck, ws.transform = l, w, ck, transform
 	if ws.body == nil {
 		ws.body = func(shard, lo, hi int) {
-			l, w, ck := ws.l, ws.w, ws.ck
+			l, w, ck, transform := ws.l, ws.w, ws.ck, ws.transform
 			acc := ws.red.Accs()[shard]
 			if shard > 0 {
 				vecmath.Zero(acc)
@@ -166,11 +170,14 @@ func (ws *GradWorkspace) reduceGrad(dst []float64, l Loss, w []float64, ck *data
 			vecmath.Zero(buf)
 			for i := lo; i < hi; i++ {
 				l.Grad(buf, w, ck.X.Row(i), ck.Y[i])
+				if transform != nil {
+					transform(buf)
+				}
 				vecmath.Axpy(1, buf, acc)
 			}
 		}
 	}
 	parallel.For(workers, m, ws.body)
 	ws.red.Merge(dst)
-	ws.l, ws.w, ws.ck = nil, nil, nil
+	ws.l, ws.w, ws.ck, ws.transform = nil, nil, nil, nil
 }

@@ -14,7 +14,7 @@
 //     shard's result lands.
 //
 // Randomized shards derive their stream by splitting a parent RNG in
-// shard order (SplitRNGs), so noise draws are also worker-independent.
+// shard order (SplitRNGsInto), so noise draws are also worker-independent.
 package parallel
 
 import (
@@ -139,37 +139,6 @@ func Reduce[T any](workers, n int, newAcc func(shard int) T, body func(acc T, sh
 	return out
 }
 
-// ReduceVec is the d-vector specialization of Reduce used by the
-// gradient loops: each shard accumulates into its own zeroed length-d
-// vector (shard 0 borrows dst), and the partials are summed into dst in
-// shard order. dst is zeroed first and returned.
-func ReduceVec(workers, n int, dst []float64, body func(acc []float64, shard, lo, hi int)) []float64 {
-	for j := range dst {
-		dst[j] = 0
-	}
-	if n <= 0 {
-		return dst
-	}
-	k := NumShards(n)
-	accs := make([][]float64, k)
-	accs[0] = dst
-	run(workers, n, func(shard, lo, hi int) {
-		acc := dst
-		if shard > 0 {
-			acc = make([]float64, len(dst))
-			accs[shard] = acc
-		}
-		body(acc, shard, lo, hi)
-	})
-	for s := 1; s < k; s++ {
-		from := accs[s]
-		for j := range dst {
-			dst[j] += from[j]
-		}
-	}
-	return dst
-}
-
 // ReduceFloat is the scalar specialization of Reduce: per-shard partial
 // sums combined in shard order. Returns 0 for n ≤ 0.
 func ReduceFloat(workers, n int, body func(shard, lo, hi int) float64) float64 {
@@ -192,7 +161,7 @@ func ReduceFloat(workers, n int, body func(shard, lo, hi int) float64) float64 {
 // backing store of every reusable reduction workspace (vecmath, robust,
 // core). Get sizes the pool once and then recycles it, so steady-state
 // reductions allocate nothing. Contents are stale across calls; callers
-// zero what they need, mirroring ReduceVec's fresh allocations.
+// zero what they need.
 type ShardBufs struct {
 	bufs [][]float64
 }
@@ -213,15 +182,15 @@ func (p *ShardBufs) Get(k, d int) [][]float64 {
 	return p.bufs[:k]
 }
 
-// VecReducer owns the accumulator layout of a workspace vector
-// reduction — the reusable counterpart of ReduceVec's allocation
-// pattern, shared by every workspace (vecmath, robust, loss, core) so
-// the determinism-critical conventions live in exactly one place:
+// VecReducer is the one vector reduction of the engine: each shard of
+// [0, n) accumulates into its own length-d partial, and the partials
+// are summed into dst in shard order. It owns the accumulator layout,
+// shared by every workspace (vecmath, robust, loss), so the
+// determinism-critical conventions live in exactly one place:
 //
 //   - Setup zeroes dst and returns k accumulators with accs[0] = dst
 //     and accs[1:] pooled (stale contents — the caller's shard body
-//     must zero its accumulator when shard > 0, matching ReduceVec's
-//     fresh allocations);
+//     must zero its accumulator when shard > 0);
 //   - Merge folds accs[1:] into dst strictly in shard order.
 //
 // The caller supplies its own cached body closure (bodies differ per
@@ -256,8 +225,7 @@ func (r *VecReducer) Setup(k int, dst []float64) [][]float64 {
 // shard); cached body closures read them through this method.
 func (r *VecReducer) Accs() [][]float64 { return r.accs }
 
-// Merge folds the per-shard partials into dst in shard order — the
-// ReduceVec merge, verbatim.
+// Merge folds the per-shard partials into dst in shard order.
 func (r *VecReducer) Merge(dst []float64) {
 	for s := 1; s < len(r.accs); s++ {
 		from := r.accs[s]
@@ -267,20 +235,15 @@ func (r *VecReducer) Merge(dst []float64) {
 	}
 }
 
-// SplitRNGs derives one independent child stream per shard of [0, n) by
-// splitting r sequentially in shard order. The draw sequence each shard
-// sees is therefore a function of (parent state, n) only — never of the
-// worker count or scheduling — which is what keeps randomized sharded
-// scans (Peeling's noisy argmax) deterministic under parallelism.
-func SplitRNGs(r *randx.RNG, n int) []*randx.RNG {
-	return SplitRNGsInto(nil, r, n)
-}
-
-// SplitRNGsInto is SplitRNGs with a reusable destination: the children
-// in dst are re-seeded in place (allocating only when dst is too short
-// or holds nils), so a workspace that keeps the returned slice pays no
-// allocations after warm-up. The child streams are bit-identical to
-// SplitRNGs from the same parent state.
+// SplitRNGsInto derives one independent child stream per shard of
+// [0, n) by splitting r sequentially in shard order. The draw sequence
+// each shard sees is therefore a function of (parent state, n) only —
+// never of the worker count or scheduling — which is what keeps
+// randomized sharded scans (Peeling's noisy argmax) deterministic under
+// parallelism. The children in dst are re-seeded in place (allocating
+// only when dst is too short or holds nils), so a workspace that keeps
+// the returned slice pays no allocations after warm-up; the streams are
+// bit-identical to fresh splits from the same parent state.
 func SplitRNGsInto(dst []*randx.RNG, r *randx.RNG, n int) []*randx.RNG {
 	k := NumShards(n)
 	if cap(dst) < k {

@@ -79,28 +79,73 @@ func TestForCoversEveryIndexOnce(t *testing.T) {
 	}
 }
 
-func TestReduceVecDeterministicAcrossWorkers(t *testing.T) {
-	const n, d = 1237, 19
-	rows := make([][]float64, n)
+// shardLoopSum is the reference vector reduction, written without the
+// engine: a sequential loop over the shard bounds s·n/k, shard 0
+// accumulating into dst, every later shard into a fresh zeroed partial
+// that is added into dst in shard order.
+func shardLoopSum(rows [][]float64, n, d int) []float64 {
+	dst := make([]float64, d)
+	k := NumShards(n)
+	for s := 0; s < k; s++ {
+		acc := dst
+		if s > 0 {
+			acc = make([]float64, d)
+		}
+		for i := s * n / k; i < (s+1)*n/k; i++ {
+			for j, v := range rows[i] {
+				acc[j] += v
+			}
+		}
+		if s > 0 {
+			for j := range dst {
+				dst[j] += acc[j]
+			}
+		}
+	}
+	return dst
+}
+
+// TestVecReducerMatchesShardLoop: the workspace reduction reproduces
+// the sequential shard loop bit for bit at every worker count, with one
+// reducer reused across calls whose shard count grows and then shrinks
+// (stale pooled partials or a stale accumulator count would show), and
+// a dst full of garbage that Setup must zero.
+func TestVecReducerMatchesShardLoop(t *testing.T) {
+	const maxN, d = 64*MaxShards + 300, 19
+	rows := make([][]float64, maxN)
 	r := randx.New(1)
 	for i := range rows {
 		rows[i] = r.NormalVec(make([]float64, d), 100)
 	}
-	sum := func(workers int) []float64 {
-		return ReduceVec(workers, n, make([]float64, d), func(acc []float64, _, lo, hi int) {
+	var red VecReducer
+	sum := func(workers, n int) []float64 {
+		dst := r.NormalVec(make([]float64, d), 1e6)
+		red.Setup(NumShards(n), dst)
+		For(workers, n, func(shard, lo, hi int) {
+			acc := red.Accs()[shard]
+			if shard > 0 {
+				for j := range acc {
+					acc[j] = 0
+				}
+			}
 			for i := lo; i < hi; i++ {
 				for j, v := range rows[i] {
 					acc[j] += v
 				}
 			}
 		})
+		red.Merge(dst)
+		return dst
 	}
-	want := sum(1)
-	for _, w := range []int{2, 3, runtime.GOMAXPROCS(0), 64} {
-		got := sum(w)
-		for j := range want {
-			if got[j] != want[j] {
-				t.Fatalf("workers=%d: coord %d = %v, want bit-identical %v", w, j, got[j], want[j])
+	// Shard counts 1, 3, 20, 32, 32, 2, 20.
+	for _, n := range []int{40, 130, 1237, 64 * MaxShards, maxN, 100, 1237} {
+		want := shardLoopSum(rows, n, d)
+		for _, w := range []int{1, 2, 4, 8} {
+			got := sum(w, n)
+			for j := range want {
+				if got[j] != want[j] {
+					t.Fatalf("n=%d workers=%d: coord %d = %v, want bit-identical %v", n, w, j, got[j], want[j])
+				}
 			}
 		}
 	}
@@ -150,7 +195,7 @@ func TestReduceFloat(t *testing.T) {
 
 func TestSplitRNGsDeterministic(t *testing.T) {
 	draws := func() [][]float64 {
-		rngs := SplitRNGs(randx.New(42), 200)
+		rngs := SplitRNGsInto(nil, randx.New(42), 200)
 		out := make([][]float64, len(rngs))
 		for s, rng := range rngs {
 			for k := 0; k < 5; k++ {
@@ -160,9 +205,9 @@ func TestSplitRNGsDeterministic(t *testing.T) {
 		return out
 	}
 	if !reflect.DeepEqual(draws(), draws()) {
-		t.Fatal("SplitRNGs streams not reproducible")
+		t.Fatal("SplitRNGsInto streams not reproducible")
 	}
-	rngs := SplitRNGs(randx.New(42), 200)
+	rngs := SplitRNGsInto(nil, randx.New(42), 200)
 	if len(rngs) != NumShards(200) {
 		t.Fatalf("got %d streams, want %d", len(rngs), NumShards(200))
 	}

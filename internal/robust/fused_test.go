@@ -35,10 +35,9 @@ func TestTermKernelMatchesTerm(t *testing.T) {
 }
 
 // refEstimateRows is the textbook unfused estimate over materialized
-// gradient rows c[i]·xᵢ + reg·w: EstimateFunc with fresh buffers.
+// gradient rows c[i]·xᵢ + reg·w: the sequential shard-loop reference.
 func refEstimateRows(e MeanEstimator, x *vecmath.Mat, scales []float64, reg float64, w []float64) []float64 {
-	dst := make([]float64, x.Cols)
-	e.EstimateFunc(dst, x.Rows, func(i int, buf []float64) {
+	return refEstimateFunc(e, x.Cols, x.Rows, func(i int, buf []float64) {
 		c := scales[i]
 		for j, xj := range x.Row(i) {
 			buf[j] = c * xj
@@ -47,7 +46,6 @@ func refEstimateRows(e MeanEstimator, x *vecmath.Mat, scales []float64, reg floa
 			vecmath.Axpy(reg, w, buf)
 		}
 	})
-	return dst
 }
 
 // TestEstimateChunkBitIdentical: the fused column-blocked kernel must

@@ -16,8 +16,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-
-	"htdp/internal/parallel"
 )
 
 // PhiBound is the uniform bound |φ| ≤ 2√2/3 of the truncation function.
@@ -143,11 +141,11 @@ type MeanEstimator struct {
 	Beta float64 // noise precision β > 0 (paper sets β = O(1))
 
 	// Parallelism is the worker count for the vector estimators
-	// (EstimateVec, EstimateFunc): 0 → GOMAXPROCS, 1 → sequential. The
-	// sharded evaluation is bit-identical for every setting — EstimateVec
-	// shards the coordinate space into disjoint writes, and EstimateFunc
-	// merges fixed sample-shard partials in shard order — so this knob
-	// trades wall-clock only, never results.
+	// (EstimateChunk, EstimateFuncWS, StreamMean): 0 → GOMAXPROCS,
+	// 1 → sequential. The sharded evaluation is bit-identical for every
+	// setting — sample-shard partials merge in shard order, a structure
+	// fixed by the sample count — so this knob trades wall-clock only,
+	// never results.
 	Parallelism int
 }
 
@@ -198,59 +196,6 @@ func (e MeanEstimator) Sensitivity(n int) float64 {
 // moment bound τ and failure probability ζ.
 func (e MeanEstimator) ErrorBound(tau float64, n int, zeta float64) float64 {
 	return tau/(2*e.S)*(1/e.Beta+1) + e.S/float64(n)*(e.Beta/2+math.Log(2/zeta))
-}
-
-// EstimateVec applies the estimator coordinate-wise: rows[i] is the i-th
-// sample vector; the j-th output is ˆx(s, β) over {rows[i][j]}. This is
-// the g̃(w, D) construction of Algorithms 1 and 5 when the rows are
-// per-sample gradients. dst is allocated when nil.
-func (e MeanEstimator) EstimateVec(dst []float64, rows [][]float64) []float64 {
-	if len(rows) == 0 {
-		return dst
-	}
-	d := len(rows[0])
-	if dst == nil {
-		dst = make([]float64, d)
-	}
-	for _, row := range rows {
-		if len(row) != d {
-			panic("robust: EstimateVec ragged rows")
-		}
-	}
-	inv := 1 / float64(len(rows))
-	kern := e.kernel()
-	// Shard the coordinate range [0, d): every worker owns dst[lo:hi]
-	// outright and accumulates samples in row order, so the result is
-	// bit-identical to the sequential double loop at any worker count.
-	// kern.term is Term with the per-estimator constants hoisted out of
-	// the m·d inner loop (bit-identical; see fused.go).
-	parallel.For(e.Parallelism, d, func(_, lo, hi int) {
-		for j := lo; j < hi; j++ {
-			dst[j] = 0
-		}
-		for _, row := range rows {
-			for j := lo; j < hi; j++ {
-				dst[j] += kern.term(row[j])
-			}
-		}
-		for j := lo; j < hi; j++ {
-			dst[j] *= inv
-		}
-	})
-	return dst
-}
-
-// EstimateFunc is EstimateVec without materializing sample rows: grad is
-// called once per sample index with a scratch buffer to fill. Used on
-// hot paths where per-sample gradients are cheap to recompute.
-//
-// The sample range is sharded across Parallelism workers, each with its
-// own scratch buffer, so grad may run concurrently for different i and
-// must not write shared state beyond buf. Per-shard partial sums merge
-// in shard order; the shard structure depends only on n, so the output
-// is bit-identical for every worker count.
-func (e MeanEstimator) EstimateFunc(dst []float64, n int, grad func(i int, buf []float64)) []float64 {
-	return e.EstimateFuncWS(dst, n, nil, grad)
 }
 
 // Shrink returns sign(x)·min(|x|, k): the entry-wise shrinkage that

@@ -279,36 +279,46 @@ func TestErrorBoundHolds(t *testing.T) {
 	}
 }
 
-func TestEstimateVec(t *testing.T) {
+func TestEstimateFuncWS(t *testing.T) {
 	// Large s keeps the multiplicative-noise bias negligible here.
 	e := MeanEstimator{S: 500, Beta: 1}
 	rows := [][]float64{{1, 10}, {3, 20}}
-	got := e.EstimateVec(nil, rows)
+	dst := make([]float64, 2)
+	got := e.EstimateFuncWS(dst, len(rows), nil, func(i int, buf []float64) { copy(buf, rows[i]) })
+	if &got[0] != &dst[0] {
+		t.Error("EstimateFuncWS ignored dst")
+	}
 	if math.Abs(got[0]-2) > 0.05 || math.Abs(got[1]-15) > 0.1 {
-		t.Errorf("EstimateVec = %v", got)
+		t.Errorf("EstimateFuncWS = %v", got)
 	}
 	// Coordinate-wise equals scalar estimates.
 	col0 := e.Estimate([]float64{1, 3})
 	if math.Abs(got[0]-col0) > 1e-12 {
 		t.Errorf("vector/scalar mismatch: %v vs %v", got[0], col0)
 	}
-	// Reuse dst.
-	dst := make([]float64, 2)
-	if got2 := e.EstimateVec(dst, rows); &got2[0] != &dst[0] {
-		t.Error("EstimateVec ignored dst")
-	}
 }
 
+// TestEstimateFuncMatchesVec: the sharded estimator over a grad
+// callback agrees with the textbook coordinate-wise double loop over
+// materialized rows.
 func TestEstimateFuncMatchesVec(t *testing.T) {
 	e := MeanEstimator{S: 5, Beta: 2}
 	rows := [][]float64{{1, -7, 2}, {0.5, 3, -1}, {9, 9, 9}}
-	want := e.EstimateVec(nil, rows)
-	got := e.EstimateFunc(make([]float64, 3), len(rows), func(i int, buf []float64) {
+	want := make([]float64, 3)
+	for _, row := range rows {
+		for j, x := range row {
+			want[j] += e.Term(x)
+		}
+	}
+	for j := range want {
+		want[j] /= float64(len(rows))
+	}
+	got := e.EstimateFuncWS(make([]float64, 3), len(rows), nil, func(i int, buf []float64) {
 		copy(buf, rows[i])
 	})
 	for j := range want {
 		if math.Abs(got[j]-want[j]) > 1e-12 {
-			t.Fatalf("EstimateFunc[%d] = %v, want %v", j, got[j], want[j])
+			t.Fatalf("EstimateFuncWS[%d] = %v, want %v", j, got[j], want[j])
 		}
 	}
 }

@@ -449,6 +449,33 @@ func TestUploadAndRun(t *testing.T) {
 	}
 }
 
+// TestUploadRejectsNonFinite: a CSV whose fields parse as NaN or ±Inf
+// is a 400 naming the row and column, and registers nothing — not a
+// 201 whose first run computes in full and then fails to encode NaN.
+func TestUploadRejectsNonFinite(t *testing.T) {
+	ts, _, _ := newTestServer(t, Options{})
+	for name, body := range map[string]string{
+		"nan":       "1,2,3\n4,nan,6\n",
+		"inf":       "1,2,inf\n4,5,6\n",
+		"infinity":  "1,2,3\n-Infinity,5,6\n",
+		"nan-label": "1,2,NaN\n",
+	} {
+		resp, err := http.Post(ts.URL+"/v1/datasets?name="+name, "text/csv", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != 400 || !strings.Contains(string(msg), "non-finite") || !strings.Contains(string(msg), "row") {
+			t.Fatalf("%s upload = %d %q, want 400 naming the non-finite field", name, resp.StatusCode, msg)
+		}
+		code, _, got := postJSON(t, ts.URL+"/v1/run", RunRequest{Dataset: name, Algo: "fw", Eps: 1, Seed: 1, T: 2})
+		if code != 404 {
+			t.Fatalf("%s: run on rejected upload = %d %q, want 404", name, code, got)
+		}
+	}
+}
+
 func TestSweepEndpoint(t *testing.T) {
 	ts, _, _ := newTestServer(t, Options{})
 	req := experiments.SweepRequest{Experiment: "abl-shrink-k", Reps: 2, Scale: 0.01, Seed: 3}

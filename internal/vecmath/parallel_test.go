@@ -19,12 +19,13 @@ func randMat(seed int64, rows, cols int) *Mat {
 
 var workerSweep = []int{1, 2, 3, runtime.GOMAXPROCS(0), 2 * runtime.GOMAXPROCS(0)}
 
-func TestMatVecPMatchesMatVec(t *testing.T) {
+func TestMatWorkspaceMatVecMatchesMatVec(t *testing.T) {
 	m := randMat(1, 301, 47)
 	v := randx.New(2).NormalVec(make([]float64, 47), 3)
 	want := m.MatVec(nil, v)
+	var ws MatWorkspace
 	for _, w := range workerSweep {
-		got := m.MatVecP(nil, v, w)
+		got := ws.MatVec(nil, m, v, w)
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("workers=%d: row %d = %v, want bit-identical %v", w, i, got[i], want[i])
@@ -33,11 +34,12 @@ func TestMatVecPMatchesMatVec(t *testing.T) {
 	}
 }
 
-func TestMatTVecPDeterministicAndClose(t *testing.T) {
+func TestMatWorkspaceMatTVecDeterministicAndClose(t *testing.T) {
 	m := randMat(3, 512, 33)
 	v := randx.New(4).NormalVec(make([]float64, 512), 1)
 	ref := m.MatTVec(nil, v)
-	base := m.MatTVecP(nil, v, 1)
+	var ws MatWorkspace
+	base := ws.MatTVec(nil, m, v, 1)
 	for j := range ref {
 		// Blocked merge may differ from the single pass only in rounding.
 		if math.Abs(base[j]-ref[j]) > 1e-9*(1+math.Abs(ref[j])) {
@@ -45,7 +47,7 @@ func TestMatTVecPDeterministicAndClose(t *testing.T) {
 		}
 	}
 	for _, w := range workerSweep[1:] {
-		got := m.MatTVecP(nil, v, w)
+		got := ws.MatTVec(nil, m, v, w)
 		for j := range base {
 			if got[j] != base[j] {
 				t.Fatalf("workers=%d: coord %d = %v, want bit-identical %v", w, j, got[j], base[j])

@@ -2,21 +2,19 @@ package vecmath
 
 import "htdp/internal/parallel"
 
-// MatWorkspace is the reusable iteration scratch of the blocked dense
-// kernels. The allocating entry points (MatVecP, MatTVecP) cost
-// two kinds of per-call garbage on a hot loop: the per-shard partial
-// accumulators of the reduction kernels, and the loop-body closure that
-// escapes into the worker pool. A workspace owns both — partials live
-// in a parallel.VecReducer, and each kernel's body closure is built
-// once, on first use, reading its operands through the workspace fields
-// — so a loop that reuses one workspace performs zero allocations per
-// call after warm-up (with the sequential engine; the parallel engine
-// adds only its per-goroutine spawns).
-//
-// Results are bit-identical to the allocating kernels: the shard
-// structure, per-shard arithmetic, and shard-order merge are unchanged;
-// only where the partials and closures live differs. One workspace
-// serves one goroutine; it is not safe for concurrent use.
+// MatWorkspace holds the blocked parallel dense kernels on the
+// algorithms' hot paths, M·v and Mᵀ·v, together with their reusable
+// scratch. Both shard the row range on the internal/parallel engine,
+// so their output is bit-identical for every worker count: MatVec
+// writes disjoint rows, and MatTVec merges fixed per-shard partials in
+// shard order. The workspace owns the two kinds of per-call garbage a
+// hot loop would otherwise pay — the per-shard partials live in a
+// parallel.VecReducer, and each kernel's body closure is built once, on
+// first use, reading its operands through the workspace fields — so a
+// loop that reuses one workspace performs zero allocations per call
+// after warm-up (with the sequential engine; the parallel engine adds
+// only its per-goroutine spawns). One workspace serves one goroutine;
+// it is not safe for concurrent use. The zero value is ready to use.
 type MatWorkspace struct {
 	m      *Mat
 	v, dst []float64
@@ -26,8 +24,10 @@ type MatWorkspace struct {
 	mattvecBody func(shard, lo, hi int)
 }
 
-// MatVec computes dst = M·v like (*Mat).MatVecP, bit-identically,
-// reusing the workspace's cached loop body. dst is allocated when nil.
+// MatVec computes dst = M·v, sharding the output rows across workers
+// (0 → GOMAXPROCS). Each row is a disjoint write, so the result is
+// bit-identical to the sequential (*Mat).MatVec at any worker count.
+// dst is allocated when nil.
 func (ws *MatWorkspace) MatVec(dst []float64, m *Mat, v []float64, workers int) []float64 {
 	if len(v) != m.Cols {
 		panic("vecmath: MatVec dim mismatch")
@@ -49,9 +49,11 @@ func (ws *MatWorkspace) MatVec(dst []float64, m *Mat, v []float64, workers int) 
 	return dst
 }
 
-// MatTVec computes dst = Mᵀ·v like (*Mat).MatTVecP, bit-identically,
-// with pooled per-shard partials merged in shard order. dst is
-// allocated when nil.
+// MatTVec computes dst = Mᵀ·v, sharding the rows across workers and
+// summing per-shard partials in shard order. The summation tree is
+// blocked (fixed by the row count), so the result is worker-count
+// independent, though it may differ from the single-pass (*Mat).MatTVec
+// in the last bits. dst is allocated when nil.
 func (ws *MatWorkspace) MatTVec(dst []float64, m *Mat, v []float64, workers int) []float64 {
 	if len(v) != m.Rows {
 		panic("vecmath: MatTVec dim mismatch")
